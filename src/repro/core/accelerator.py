@@ -35,7 +35,7 @@ tree drain cannot hide (§4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -208,17 +208,50 @@ class _RowGroup:
     diagonal: Optional[_Op] = None
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A view of ``values`` that raises on in-place writes."""
+    view = values.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass
+class ProgrammedImage:
+    """Everything programming produces, shared by every binding.
+
+    The conversion (Algorithm 1), the configuration table resolved into
+    per-block-row ops with their payload CRCs, and the pass plans
+    compiled from them with their report, span and per-width batch
+    templates.  None of it depends on a fault model, so any number of
+    accelerators may run one image (:meth:`Alrescha.bind`) — the
+    paper's "program once per matrix".  Runs only read it: payload
+    arrays are read-only and plans take the running accelerator as an
+    argument instead of holding one.
+    """
+
+    conversion: ConversionResult
+    rows: List[_RowGroup]
+    table_order_switches: int
+    #: Compiled pass plans, keyed by pass kind; built lazily on the
+    #: first run of each kind by whichever binding runs it first.
+    plans: Dict[str, object] = field(default_factory=dict)
+    #: Content key of the conversion when it was resolved through an
+    #: artifact store (None otherwise); the plan layer uses it to
+    #: load/persist captured templates.
+    store_key: Optional[str] = None
+
+
 class Alrescha:
-    """The accelerator.  Program once, run kernels repeatedly."""
+    """The accelerator.  Program once, run kernels repeatedly.
+
+    An accelerator is a :class:`ProgrammedImage` plus a *binding*: its
+    own config (and so its own fault model) and its own cross-check
+    state.  :meth:`bind` makes another accelerator on the same image.
+    """
 
     def __init__(self, config: Optional[AlreschaConfig] = None) -> None:
         self.config = config or AlreschaConfig()
-        self._conversion: Optional[ConversionResult] = None
-        self._rows: List[_RowGroup] = []
-        self._table_order_switches: int = 0
-        #: Compiled pass plans, keyed by pass kind; built lazily on the
-        #: first run of each kind and invalidated by :meth:`program`.
-        self._plans: Dict[str, object] = {}
+        self.image: Optional[ProgrammedImage] = None
         #: Set while a plan captures its report template by replaying the
         #: legacy interpreter: the capture must see the clean channel or
         #: the template (and plan verification) would absorb faults.
@@ -233,10 +266,6 @@ class Alrescha:
         #: tracer shadows ``config.tracer`` so template spans never leak
         #: into the user's trace (mirrors ``_suppress_faults``).
         self._capture_tracer: Optional[Tracer] = None
-        #: Content key of the programmed conversion when it was resolved
-        #: through ``config.artifact_store`` (None otherwise); the plan
-        #: layer uses it to load/persist captured templates.
-        self._store_key: Optional[str] = None
 
     @property
     def tracer(self) -> Optional[Tracer]:
@@ -274,11 +303,29 @@ class Alrescha:
             conv = convert(kernel, matrix, omega=acc.config.omega,
                            reorder=reorder)
         acc.program(conv)
-        acc._store_key = key
+        acc.image.store_key = key
         return acc
 
+    def bind(self, fault_model: Optional[FaultModel]) -> "Alrescha":
+        """Another accelerator on this one's image, with its own fault
+        model and fresh cross-check state.
+
+        Nothing is converted or compiled: plans compiled by any binding
+        serve all of them.  Answers, cycles and fault draws equal those
+        of an accelerator programmed afresh with ``fault_model``.
+        """
+        if self.image is None:
+            raise SimulationError("accelerator has not been programmed")
+        twin = Alrescha(replace(self.config, fault_model=fault_model))
+        twin.image = self.image
+        return twin
+
     def program(self, conversion: ConversionResult) -> None:
-        """Write the configuration table and formatted matrix."""
+        """Write the configuration table and formatted matrix.
+
+        Programming builds a new image: accelerators bound to the old
+        one keep running it.
+        """
         if conversion.omega != self.config.omega:
             raise ConfigError(
                 f"conversion blocked at omega={conversion.omega}, "
@@ -288,7 +335,6 @@ class Alrescha:
         if conversion.matrix.symgs_layout:
             resident += conversion.matrix.shape[0] * 8.0
         self.config.make_memory().check_capacity(resident)
-        self._conversion = conversion
         block_map = {
             (b.block_row, b.block_col): b for b in conversion.matrix.stream()
         }
@@ -308,7 +354,7 @@ class Alrescha:
                 inx_in=entry.inx_in,
                 inx_out=entry.inx_out,
                 port=entry.op,
-                values=sb.values,
+                values=_read_only(sb.values),
                 reversed_cols=sb.reversed_cols,
                 is_diagonal=sb.is_diagonal,
                 checksum=payload_checksum(sb.values),
@@ -322,15 +368,12 @@ class Alrescha:
                 group.diagonal = op
             else:
                 group.streaming.append(op)
-        self._rows = [rows[i] for i in order]
-        self._table_order_switches = conversion.table.switch_count()
-        self._plans.clear()
+        self.image = ProgrammedImage(
+            conversion, [rows[i] for i in order],
+            conversion.table.switch_count())
         self._crosscheck_failures = 0
         self._plan_degraded = False
         self._force_verify = False
-        # A manual reprogram severs the link to any stored artifact; the
-        # store path (from_matrix) re-establishes it after programming.
-        self._store_key = None
         self._validate_symgs_diagonal()
 
     def _validate_symgs_diagonal(self) -> None:
@@ -342,12 +385,12 @@ class Alrescha:
         sweep untouched, so a missing pivot there is the caller's
         business (the system is singular either way).
         """
-        conversion = self._conversion
+        conversion = self.image.conversion
         diag = conversion.matrix.diagonal
         if conversion.kernel is not KernelType.SYMGS or diag is None:
             return
         n, w = conversion.matrix.shape[0], self.config.omega
-        for group in self._rows:
+        for group in self.image.rows:
             if group.diagonal is None:
                 continue
             start = group.block_row * w
@@ -365,10 +408,11 @@ class Alrescha:
     # Compiled pass plans
     # ------------------------------------------------------------------
     def _plan(self, kind: str):
-        plan = self._plans.get(kind)
+        plans = self.image.plans
+        plan = plans.get(kind)
         if plan is None:
             plan = compile_pass(self, kind)
-            self._plans[kind] = plan
+            plans[kind] = plan
         return plan
 
     def compile_plans(self) -> None:
@@ -449,9 +493,9 @@ class Alrescha:
 
     @property
     def conversion(self) -> ConversionResult:
-        if self._conversion is None:
+        if self.image is None:
             raise SimulationError("accelerator has not been programmed")
-        return self._conversion
+        return self.image.conversion
 
     @property
     def table(self) -> ConfigTable:
@@ -506,7 +550,7 @@ class Alrescha:
         exposed = 0.0
         prev_dp: Optional[DataPathType] = None
         spb = timing.stream_cycles_per_block()
-        for group in self._rows:
+        for group in self.image.rows:
             if not group.streaming:
                 continue
             start = group.block_row * w
@@ -580,7 +624,7 @@ class Alrescha:
         x = np.asarray(x, dtype=np.float64)
         if self.config.use_plan:
             return self._run_plan_checked(
-                "spmv", lambda plan: plan.run_spmv(x),
+                "spmv", lambda plan: plan.run_spmv(self, x),
                 lambda: self._legacy_run_spmv(x))
         return self._legacy_run_spmv(x)
 
@@ -602,7 +646,7 @@ class Alrescha:
             x = x[:, None]
         if self.config.use_plan:
             return self._run_plan_checked(
-                "spmv", lambda plan: plan.run_spmv_batch(x),
+                "spmv", lambda plan: plan.run_spmv_batch(self, x),
                 lambda: self.run_spmm(x))
         return self.run_spmm(x)
 
@@ -631,7 +675,7 @@ class Alrescha:
         dist = np.asarray(dist, dtype=np.float64)
         if self.config.use_plan:
             return self._run_plan_checked(
-                "bfs", lambda plan: plan.run_minplus(dist),
+                "bfs", lambda plan: plan.run_minplus(self, dist),
                 lambda: self._legacy_run_bfs_pass(dist))
         return self._legacy_run_bfs_pass(dist)
 
@@ -666,7 +710,8 @@ class Alrescha:
         parent = np.asarray(parent, dtype=np.int64)
         if self.config.use_plan:
             return self._run_plan_checked(
-                "bfs-parents", lambda plan: plan.run_parents(dist, parent),
+                "bfs-parents",
+                lambda plan: plan.run_parents(self, dist, parent),
                 lambda: self._legacy_run_bfs_pass_parents(dist, parent))
         return self._legacy_run_bfs_pass_parents(dist, parent)
 
@@ -697,7 +742,7 @@ class Alrescha:
         prev_dp: Optional[DataPathType] = None
         spb = timing.stream_cycles_per_block()
 
-        for group in self._rows:
+        for group in self.image.rows:
             if not group.streaming:
                 continue
             start = group.block_row * w
@@ -766,7 +811,7 @@ class Alrescha:
         dist = np.asarray(dist, dtype=np.float64)
         if self.config.use_plan:
             return self._run_plan_checked(
-                "sssp", lambda plan: plan.run_minplus(dist),
+                "sssp", lambda plan: plan.run_minplus(self, dist),
                 lambda: self._legacy_run_sssp_pass(dist))
         return self._legacy_run_sssp_pass(dist)
 
@@ -799,7 +844,8 @@ class Alrescha:
         outdeg = np.asarray(outdeg, dtype=np.float64)
         if self.config.use_plan:
             return self._run_plan_checked(
-                "pagerank", lambda plan: plan.run_pagerank(rank, outdeg),
+                "pagerank",
+                lambda plan: plan.run_pagerank(self, rank, outdeg),
                 lambda: self._legacy_run_pr_pass(rank, outdeg))
         return self._legacy_run_pr_pass(rank, outdeg)
 
@@ -834,7 +880,7 @@ class Alrescha:
         x_prev = np.asarray(x_prev, dtype=np.float64)
         if self.config.use_plan:
             return self._run_plan_checked(
-                "symgs", lambda plan: plan.run(b, x_prev),
+                "symgs", lambda plan: plan.run(self, b, x_prev),
                 lambda: self._legacy_run_symgs_sweep(b, x_prev))
         return self._legacy_run_symgs_sweep(b, x_prev)
 
@@ -859,7 +905,7 @@ class Alrescha:
             x_prev = x_prev[:, None]
         if self.config.use_plan:
             return self._run_plan_checked(
-                "symgs", lambda plan: plan.run_batch(b, x_prev),
+                "symgs", lambda plan: plan.run_batch(self, b, x_prev),
                 lambda: self._legacy_run_symgs_batch(b, x_prev))
         return self._legacy_run_symgs_batch(b, x_prev)
 
@@ -899,7 +945,7 @@ class Alrescha:
         prev_dp: Optional[DataPathType] = None
         spb = timing.stream_cycles_per_block()
 
-        for group in self._rows:
+        for group in self.image.rows:
             row_stream = 0.0
             row_gemv_compute = 0.0
             # Data-path switches of this row, recorded as they are
@@ -1062,7 +1108,7 @@ class Alrescha:
         # column, each crossing the link once as in the single sweep.
         partials: List[List[np.ndarray]] = [[] for _ in range(k)]
 
-        for group in self._rows:
+        for group in self.image.rows:
             row_stream = 0.0
             row_gemv_compute = 0.0
             trans_gemv: List[Tuple[str, Optional[str], float, float, float]] = []
@@ -1262,7 +1308,7 @@ class Alrescha:
         prev_dp: Optional[DataPathType] = None
         spb = timing.stream_cycles_per_block()
 
-        for group in self._rows:
+        for group in self.image.rows:
             if not group.streaming:
                 continue
             acc = row_init(w)
@@ -1362,7 +1408,7 @@ class Alrescha:
             cache_busy_cycles=rcu.cache_busy_cycles,
             exposed_reconfig_cycles=exposed,
             n_entries=len(self.table),
-            n_switches=self._table_order_switches,
+            n_switches=self.image.table_order_switches,
             counters=counters,
             energy_j=energy,
             datapath_cycles=dp_cycles,

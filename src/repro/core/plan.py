@@ -37,6 +37,13 @@ are bit-identical too (property-tested against the legacy path).
 Compilation cross-checks the lowered artifacts against the captured
 template (compute-cycle totals, memory request counts) and refuses to
 produce a plan that disagrees with the interpreter.
+
+A plan belongs to a :class:`~repro.core.accelerator.ProgrammedImage`
+and is shared by every accelerator bound to that image, so it holds no
+accelerator: each run takes the running accelerator (``acc``), whose
+config carries the fault model, tracer and cross-check knobs, and whose
+state carries forced verification.  Every array a plan holds is
+read-only.
 """
 
 from __future__ import annotations
@@ -86,6 +93,16 @@ class PassArtifacts:
     #: Cycles to stream the whole payload as one contiguous block run
     #: (:meth:`~repro.sim.memory.StreamingMemory.stream_block_run`).
     payload_stream_cycles: float
+
+    def __post_init__(self) -> None:
+        _freeze(self.stream_cycles_per_block, self.compute_cycles_per_block,
+                self.seg_start, self.seg_len, self.out_rows)
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark arrays read-only: plans are shared across accelerators."""
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 def _padded_length(n: int, omega: int) -> Tuple[int, int]:
@@ -155,7 +172,7 @@ def _replay_spans(acc, span_template: List[Span], extra_cycles: float,
     replayed pass span stretched by the recovered cycles so its
     duration still matches the (fault-adjusted) report.
     """
-    tracer = acc.config.tracer if acc is not None else None
+    tracer = acc.config.tracer
     if tracer is None or not span_template:
         return
     offsets = {}
@@ -213,7 +230,7 @@ class CompiledStreamingPass:
     def __init__(self, kind: str, n: int, omega: int,
                  blocks: np.ndarray, gather: np.ndarray,
                  src_base: np.ndarray, artifacts: PassArtifacts,
-                 template: SimReport, acc=None,
+                 template: SimReport,
                  checksums: Optional[List[int]] = None,
                  restream_cycles: float = 0.0,
                  padded_block_bytes: float = 0.0,
@@ -226,12 +243,11 @@ class CompiledStreamingPass:
         self.masks = (blocks != 0.0) if kind != "spmv" else None
         self.gather = gather
         self.src_base = src_base
+        _freeze(blocks, gather, src_base)
+        if self.masks is not None:
+            _freeze(self.masks)
         self.artifacts = artifacts
         self.template = template
-        #: Back-reference to the owning accelerator: the fault model and
-        #: resilience knobs live on its config and may change between
-        #: runs (e.g. forced verification after degradation).
-        self.acc = acc
         #: Per-block payload CRCs in stacked order (``program()`` data).
         self.checksums = checksums or []
         #: Channel cost of re-fetching one block, for pricing retries.
@@ -285,8 +301,8 @@ class CompiledStreamingPass:
     # ------------------------------------------------------------------
     # Resilience (all no-ops when no fault model is attached)
     # ------------------------------------------------------------------
-    def _deliver(self):
-        """Stream the stacked blocks through the (possibly faulty)
+    def _deliver(self, acc):
+        """Stream the stacked blocks through ``acc``'s (possibly faulty)
         channel, in the interpreter's transfer order.
 
         Returns ``(blocks, masks, extra_cycles, events)``.  With no
@@ -295,11 +311,11 @@ class CompiledStreamingPass:
         stacked tensor with a corrupted *copy* — the compile-time
         ``self.blocks`` stays pristine for cross-checking.
         """
-        cfg = self.acc.config
+        cfg = acc.config
         fm = cfg.fault_model
         if fm is None:
             return self.blocks, self.masks, 0.0, []
-        verify = cfg.verify_checksums or self.acc._force_verify
+        verify = cfg.verify_checksums or acc._force_verify
         blocks, masks = self.blocks, self.masks
         extra, events = 0.0, []
         for i in range(self.blocks.shape[0]):
@@ -318,14 +334,15 @@ class CompiledStreamingPass:
             masks = blocks != 0.0
         return blocks, masks, extra, events
 
-    def _finish_report(self, extra_cycles: float, events) -> SimReport:
+    def _finish_report(self, acc, extra_cycles: float,
+                       events) -> SimReport:
         report = self.template.clone()
         _apply_fault_events(report, extra_cycles, events,
                             self.padded_block_bytes)
-        _replay_spans(self.acc, self.span_template, extra_cycles, events)
+        _replay_spans(acc, self.span_template, extra_cycles, events)
         return report
 
-    def _crosscheck(self, report: SimReport, acc: np.ndarray,
+    def _crosscheck(self, acc, report: SimReport, out: np.ndarray,
                     reduce_kind: str, partial_fn) -> None:
         """Spot-validate sampled block rows of this run against a
         recompute from the pristine compile-time blocks.
@@ -338,7 +355,7 @@ class CompiledStreamingPass:
         in the report's ``crosscheck_mismatches`` counter, which the
         accelerator's degradation logic watches.
         """
-        cfg = self.acc.config
+        cfg = acc.config
         if cfg.crosscheck_rows <= 0.0 or self._n_rows == 0:
             return
         rng = random.Random(cfg.crosscheck_seed)
@@ -354,7 +371,7 @@ class CompiledStreamingPass:
             for p in partial:
                 expect = (expect + p if reduce_kind == "sum"
                           else np.minimum(expect, p))
-            if not np.array_equal(expect, acc[r], equal_nan=True):
+            if not np.array_equal(expect, out[r], equal_nan=True):
                 mismatches += 1
         report.counters.add("crosscheck_rows", float(count))
         if mismatches:
@@ -363,7 +380,7 @@ class CompiledStreamingPass:
     # ------------------------------------------------------------------
     # Pass kinds
     # ------------------------------------------------------------------
-    def run_spmv_batch(self, x: np.ndarray
+    def run_spmv_batch(self, acc, x: np.ndarray
                        ) -> Tuple[np.ndarray, SimReport]:
         """Batched multi-RHS SpMV: one payload delivery, ``k`` columns.
 
@@ -385,60 +402,62 @@ class CompiledStreamingPass:
             raise SimulationError(
                 f"operand must be ({self.n}, k>=1), got {x.shape}")
         k = x.shape[1]
-        template, span_template = self._batch_template(k)
-        blocks, _masks, extra, events = self._deliver()
+        template, span_template = self._batch_template(acc, k)
+        blocks, _masks, extra, events = self._deliver(acc)
         y = np.empty((self.n, k))
-        accs = []
+        sums = []
         for col in range(k):
             chunks = self._gather_chunks(x[:, col])
             partial = np.matmul(blocks, chunks[:, :, None])[:, :, 0]
-            acc = self._accumulate_sum(partial)
-            accs.append((acc, chunks))
-            y[:, col] = self._scatter_assign(acc)
+            out = self._accumulate_sum(partial)
+            sums.append((out, chunks))
+            y[:, col] = self._scatter_assign(out)
         report = template.clone()
         _apply_fault_events(report, extra, events,
                             self.padded_block_bytes)
-        _replay_spans(self.acc, span_template, extra, events)
-        for acc, chunks in accs:
+        _replay_spans(acc, span_template, extra, events)
+        for out, chunks in sums:
             self._crosscheck(
-                report, acc, "sum",
+                acc, report, out, "sum",
                 lambda lo, hi, c=chunks: np.matmul(
                     self.blocks[lo:hi], c[lo:hi, :, None])[:, :, 0])
         return y, report
 
-    def _batch_template(self, k: int) -> Tuple[SimReport, List[Span]]:
+    def _batch_template(self, acc, k: int
+                        ) -> Tuple[SimReport, List[Span]]:
         cached = self._batch_templates.get(k)
         if cached is None:
-            cached = _capture_batch_template(self.acc, self.kind, k)
+            cached = _capture_batch_template(acc, self.kind, k)
             self._batch_templates[k] = cached
         return cached
 
-    def run_spmv(self, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
+    def run_spmv(self, acc, x: np.ndarray) -> Tuple[np.ndarray, SimReport]:
         _check_operand("x", x, self.n)
-        blocks, _masks, extra, events = self._deliver()
+        blocks, _masks, extra, events = self._deliver(acc)
         chunks = self._gather_chunks(x)
         partial = np.matmul(blocks, chunks[:, :, None])[:, :, 0]
-        acc = self._accumulate_sum(partial)
-        y = self._scatter_assign(acc)
-        report = self._finish_report(extra, events)
+        out = self._accumulate_sum(partial)
+        y = self._scatter_assign(out)
+        report = self._finish_report(acc, extra, events)
         self._crosscheck(
-            report, acc, "sum",
+            acc, report, out, "sum",
             lambda lo, hi: np.matmul(self.blocks[lo:hi],
                                      chunks[lo:hi, :, None])[:, :, 0])
         return y, report
 
-    def run_minplus(self, dist: np.ndarray) -> Tuple[np.ndarray, SimReport]:
+    def run_minplus(self, acc, dist: np.ndarray
+                    ) -> Tuple[np.ndarray, SimReport]:
         """D-BFS (unit cost) or D-SSSP (stored weights) relaxation."""
         _check_operand("dist", dist, self.n)
-        blocks, masks, extra, events = self._deliver()
+        blocks, masks, extra, events = self._deliver(acc)
         chunks = self._gather_chunks(dist)
         step = 1.0 if self.kind == "bfs" else blocks
         cand = np.where(masks, chunks[:, None, :] + step, np.inf)
         best = self._accumulate_min(cand.min(axis=2))
         out = self._scatter_min(best, dist)
-        report = self._finish_report(extra, events)
+        report = self._finish_report(acc, extra, events)
         self._crosscheck(
-            report, best, "min",
+            acc, report, best, "min",
             lambda lo, hi: np.where(
                 self.masks[lo:hi],
                 chunks[lo:hi, None, :]
@@ -446,11 +465,11 @@ class CompiledStreamingPass:
                 np.inf).min(axis=2))
         return out, report
 
-    def run_parents(self, dist: np.ndarray, parent: np.ndarray
+    def run_parents(self, acc, dist: np.ndarray, parent: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, SimReport]:
         if dist.shape != (self.n,) or parent.shape != (self.n,):
             raise SimulationError(f"operands must have shape ({self.n},)")
-        _blocks, masks, extra, events = self._deliver()
+        _blocks, masks, extra, events = self._deliver(acc)
         chunks = self._gather_chunks(dist)
         cand = np.where(masks, chunks[:, None, :] + 1.0, np.inf)
         per_block = cand.min(axis=2)
@@ -475,23 +494,23 @@ class CompiledStreamingPass:
         dview[rows] = np.where(take, best, dview[rows])
         pview[rows] = np.where(take, best_src, pview[rows])
         return (dist_pad[:self.n].copy(), parent_pad[:self.n].copy(),
-                self._finish_report(extra, events))
+                self._finish_report(acc, extra, events))
 
-    def run_pagerank(self, rank: np.ndarray, outdeg: np.ndarray
+    def run_pagerank(self, acc, rank: np.ndarray, outdeg: np.ndarray
                      ) -> Tuple[np.ndarray, SimReport]:
         _check_operand("rank", rank, self.n)
         _check_operand("outdeg", outdeg, self.n)
-        _blocks, masks, extra, events = self._deliver()
+        _blocks, masks, extra, events = self._deliver(acc)
         rank_c = self._gather_chunks(rank)
         deg_c = self._gather_chunks(outdeg)
         safe_deg = np.where(deg_c > 0.0, deg_c, 1.0)
         contrib = np.where(deg_c > 0.0, rank_c / safe_deg, 0.0)
         partial = np.where(masks, contrib[:, None, :], 0.0).sum(axis=2)
-        acc = self._accumulate_sum(partial)
-        y = self._scatter_assign(acc)
-        report = self._finish_report(extra, events)
+        out = self._accumulate_sum(partial)
+        y = self._scatter_assign(out)
+        report = self._finish_report(acc, extra, events)
         self._crosscheck(
-            report, acc, "sum",
+            acc, report, out, "sum",
             lambda lo, hi: np.where(self.masks[lo:hi],
                                     contrib[lo:hi, None, :],
                                     0.0).sum(axis=2))
@@ -527,7 +546,7 @@ class CompiledSymgsPass:
     def __init__(self, n: int, omega: int, blocks: np.ndarray,
                  gather: np.ndarray, rows: List[_SymgsRow],
                  diag: np.ndarray, artifacts: PassArtifacts,
-                 template: SimReport, acc=None,
+                 template: SimReport,
                  checksums: Optional[List[int]] = None,
                  restream_cycles: float = 0.0,
                  padded_block_bytes: float = 0.0,
@@ -540,7 +559,6 @@ class CompiledSymgsPass:
         self.rows = rows
         self.artifacts = artifacts
         self.template = template
-        self.acc = acc
         #: Per-GEMV-block payload CRCs in stacked order.
         self.checksums = checksums or []
         self.restream_cycles = restream_cycles
@@ -550,11 +568,12 @@ class CompiledSymgsPass:
         self.span_template = span_template or []
         self._diag_pad = np.zeros(self.npad)
         self._diag_pad[:n] = diag
+        _freeze(blocks, gather, self._diag_pad)
         #: Per-width batch report templates, captured lazily from the
         #: legacy batch interpreter the first time each width runs.
         self._batch_templates: Dict[int, Tuple[SimReport, List[Span]]] = {}
 
-    def run(self, b: np.ndarray, x_prev: np.ndarray
+    def run(self, acc, b: np.ndarray, x_prev: np.ndarray
             ) -> Tuple[np.ndarray, SimReport]:
         n, w, npad = self.n, self.omega, self.npad
         if b.shape != (n,) or x_prev.shape != (n,):
@@ -570,10 +589,10 @@ class CompiledSymgsPass:
         flat = state.reshape(-1)
         b_pad = np.zeros(npad)
         b_pad[:n] = b
-        cfg = self.acc.config
+        cfg = acc.config
         fm = cfg.fault_model
         verify = fm is not None and (cfg.verify_checksums
-                                     or self.acc._force_verify)
+                                     or acc._force_verify)
         extra, events = 0.0, []
         stack: List[np.ndarray] = []
         for row in self.rows:
@@ -616,28 +635,29 @@ class CompiledSymgsPass:
                     if event is not None:
                         events.append(event)
                     body = vals
-                acc = np.zeros(w)
+                total = np.zeros(w)
                 while stack:
-                    acc += stack.pop()
+                    total += stack.pop()
                 sl = slice(row.start, row.start + w)
                 x_new = dsymgs_solve(body, self._diag_pad[sl],
-                                     b_pad[sl], state[1, sl], acc,
+                                     b_pad[sl], state[1, sl], total,
                                      row.valid, w)
                 state[0, row.start:row.start + row.valid] = \
                     x_new[:row.valid]
         report = self.template.clone()
         _apply_fault_events(report, extra, events, self.padded_block_bytes)
-        _replay_spans(self.acc, self.span_template, extra, events)
+        _replay_spans(acc, self.span_template, extra, events)
         return state[0, :n].copy(), report
 
-    def _batch_template(self, k: int) -> Tuple[SimReport, List[Span]]:
+    def _batch_template(self, acc, k: int
+                        ) -> Tuple[SimReport, List[Span]]:
         cached = self._batch_templates.get(k)
         if cached is None:
-            cached = _capture_batch_template(self.acc, "symgs", k)
+            cached = _capture_batch_template(acc, "symgs", k)
             self._batch_templates[k] = cached
         return cached
 
-    def run_batch(self, b: np.ndarray, x_prev: np.ndarray
+    def run_batch(self, acc, b: np.ndarray, x_prev: np.ndarray
                   ) -> Tuple[np.ndarray, SimReport]:
         """Batched forward sweeps: one payload delivery drives ``k``
         independent column recurrences.
@@ -659,17 +679,17 @@ class CompiledSymgsPass:
                 f"operand panels must be ({n}, k>=1) and equal-shaped, "
                 f"got {b.shape} and {x_prev.shape}")
         k = b.shape[1]
-        template, span_template = self._batch_template(k)
+        template, span_template = self._batch_template(acc, k)
         states = np.zeros((k, 2, npad))
         states[:, 0, :n] = x_prev.T
         states[:, 1, :n] = x_prev.T
         flats = [states[col].reshape(-1) for col in range(k)]
         b_pads = np.zeros((k, npad))
         b_pads[:, :n] = b.T
-        cfg = self.acc.config
+        cfg = acc.config
         fm = cfg.fault_model
         verify = fm is not None and (cfg.verify_checksums
-                                     or self.acc._force_verify)
+                                     or acc._force_verify)
         extra, events = 0.0, []
         stacks: List[List[np.ndarray]] = [[] for _ in range(k)]
         for row in self.rows:
@@ -713,19 +733,19 @@ class CompiledSymgsPass:
                     body = vals
                 sl = slice(row.start, row.start + w)
                 for col in range(k):
-                    acc = np.zeros(w)
+                    total = np.zeros(w)
                     stack = stacks[col]
                     while stack:
-                        acc += stack.pop()
+                        total += stack.pop()
                     x_new = dsymgs_solve(body, self._diag_pad[sl],
                                          b_pads[col, sl],
-                                         states[col, 1, sl], acc,
+                                         states[col, 1, sl], total,
                                          row.valid, w)
                     states[col, 0, row.start:row.start + row.valid] = \
                         x_new[:row.valid]
         report = template.clone()
         _apply_fault_events(report, extra, events, self.padded_block_bytes)
-        _replay_spans(self.acc, span_template, extra, events)
+        _replay_spans(acc, span_template, extra, events)
         return states[:, 0, :n].T.copy(), report
 
 
@@ -736,7 +756,9 @@ def compile_pass(acc, kind: str):
     """Lower the programmed pass ``kind`` of accelerator ``acc``.
 
     Returns a :class:`CompiledStreamingPass` or
-    :class:`CompiledSymgsPass`.  Part of the accelerator's internals —
+    :class:`CompiledSymgsPass` for ``acc``'s image; ``acc`` (any
+    binding of it) replays the interpreter for the templates.  Part of
+    the accelerator's internals —
     reach it through ``Alrescha`` runs (``config.use_plan``) or
     :meth:`~repro.core.accelerator.Alrescha.compile_plans`.
     """
@@ -753,7 +775,7 @@ def _load_stored_template(acc, kind: str, k,
     """A stored template for this program, or None to capture afresh.
 
     Only consulted when the accelerator's conversion was resolved
-    through an artifact store (``acc._store_key`` set).  A traced
+    through an artifact store (``acc.image.store_key`` set).  A traced
     accelerator requires the stored spans; templates persisted untraced
     are then a miss, and the richer re-capture overwrites them.  Loaded
     templates still flow through ``_verify_against_template`` when the
@@ -761,7 +783,7 @@ def _load_stored_template(acc, kind: str, k,
     than skewing reports.
     """
     store = acc.config.artifact_store
-    key = acc._store_key
+    key = acc.image.store_key
     if store is None or key is None:
         return None
     return store.load_template(key, kind, k=k, want_spans=traced)
@@ -771,7 +793,7 @@ def _save_stored_template(acc, kind: str, k, report: SimReport,
                           spans: Optional[List[Span]]) -> None:
     """Persist a freshly captured template (``spans`` None = untraced)."""
     store = acc.config.artifact_store
-    key = acc._store_key
+    key = acc.image.store_key
     if store is None or key is None:
         return
     store.save_template(key, kind, report, spans, k=k)
@@ -865,7 +887,7 @@ def _compile_streaming(acc, kind: str) -> CompiledStreamingPass:
     blocks, gather, src_base, checksums = [], [], [], []
     seg_len, out_rows = [], []
     compute = []
-    for group in acc._rows:
+    for group in acc.image.rows:
         if not group.streaming:
             continue
         seg_len.append(len(group.streaming))
@@ -900,8 +922,7 @@ def _compile_streaming(acc, kind: str) -> CompiledStreamingPass:
         blocks=(np.stack(blocks) if m else np.zeros((0, w, w))),
         gather=(np.stack(gather) if m else np.zeros((0, w), dtype=np.int64)),
         src_base=np.asarray(src_base, dtype=np.int64),
-        artifacts=artifacts, template=template, acc=acc,
-        checksums=checksums,
+        artifacts=artifacts, template=template, checksums=checksums,
         restream_cycles=padded_block_bytes / mem.bytes_per_cycle,
         padded_block_bytes=padded_block_bytes,
         span_template=span_template,
@@ -922,7 +943,7 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
     seg_len, out_rows = [], []
     stream_vec, compute_vec = [], []
     n_requests = 0
-    for group in acc._rows:
+    for group in acc.image.rows:
         seg_start = len(blocks)
         for op in group.streaming:
             blocks.append(op.values)
@@ -974,7 +995,7 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
         blocks=(np.stack(blocks) if m else np.zeros((0, w, w))),
         gather=(np.stack(gather) if m else np.zeros((0, w), dtype=np.int64)),
         rows=rows, diag=diag, artifacts=artifacts, template=template,
-        acc=acc, checksums=checksums,
+        checksums=checksums,
         restream_cycles=padded_block_bytes / mem.bytes_per_cycle,
         padded_block_bytes=padded_block_bytes,
         span_template=span_template,

@@ -96,9 +96,8 @@ class AutoscaleReport:
     #: Integral of live capacity over the run: device-cycles the fleet
     #: paid for, the denominator for utilisation-per-provisioned-cycle.
     device_cycles_provisioned: float
-    #: Programming phases a scale-up resolved from the shared
-    #: :class:`~repro.store.ArtifactStore` instead of compiling (0
-    #: without a store).
+    #: Accelerator images scale-ups bound from the pool's memo instead
+    #: of programming (0 without a store).
     prime_hits: int
 
 

@@ -6,9 +6,12 @@ A :class:`DevicePool` replicates the single-accelerator substrate into
 * its own :class:`~repro.sim.faults.FaultModel`, seeded via
   :meth:`~repro.sim.faults.FaultModel.spawn` so fault histories are
   independent yet reproducible from one pool seed;
-* a cache of programmed accelerators keyed by ``(dataset, scale,
-  kernel)`` — programming is a one-time cost per device, as on real
-  hardware where the image stays resident;
+* its bindings of the pool's programmed images, keyed by ``(dataset,
+  scale, kernel)`` — programming is a one-time cost per pool, bound per
+  device: the pool converts and compiles each workload once (the
+  paper's "once per matrix", §4) and every device runs that image under
+  its own fault model, as on real hardware where the image stays
+  resident;
 * a :class:`HealthWindow` of recent job outcomes and a
   :class:`CircuitBreaker` driven by it.
 
@@ -17,8 +20,8 @@ twist: its cooldown is charged in *simulated cycles* against the pool's
 scheduler clock, never wall time, so breaker behaviour is deterministic
 per seed and unit-testable without sleeping.
 
-The pool also owns the *golden* side: a fault-free accelerator per
-workload for nominal service-time estimates, and the reference-kernel
+The pool also owns the *golden* side: a fault-free binding of each
+image for nominal service-time estimates, and the reference-kernel
 execution used for graceful degradation.  Degraded answers are computed
 by the same golden kernels the test suite validates against, so a
 ``DEGRADED`` result is numerically correct by construction.
@@ -388,30 +391,21 @@ class Device:
 
     # ------------------------------------------------------------------
     def _executor(self, job: Job, pool: "DevicePool"):
+        """This device's binding of the job's programmed image.
+
+        The first call per workload binds :meth:`DevicePool.image` to
+        the device's fault model; nothing is converted or compiled
+        here.  Later calls return the same binding, whose cross-check
+        state is the device's own.
+        """
         key = (job.dataset, job.scale, job.kernel)
-        if key not in self._executors:
+        exe = self._executors.get(key)
+        if exe is None:
             if self.device_id >= 0:
                 pool.note_workload(key)
-            matrix = pool.matrix(job.dataset, job.scale)
-            config = AlreschaConfig(fault_model=self.fault_model,
-                                    artifact_store=pool.artifact_store)
-            source = {"dataset": job.dataset, "scale": job.scale}
-            if job.kernel == "spmv":
-                exe = Alrescha.from_matrix(KernelType.SPMV, matrix,
-                                           config=config, source=source)
-            elif job.kernel == "symgs":
-                exe = Alrescha.from_matrix(KernelType.SYMGS, matrix,
-                                           config=config, source=source)
-            elif job.kernel == "pcg":
-                from repro.solvers import AcceleratorBackend
-                exe = AcceleratorBackend(matrix, config=config,
-                                         source=source)
-            else:
-                raise ConfigError(
-                    f"unknown job kernel {job.kernel!r}; "
-                    f"known: {JOB_KERNELS}")
+            exe = pool.image(key).bind(self.fault_model)
             self._executors[key] = exe
-        return self._executors[key]
+        return exe
 
     def _model_fault(self, pool: "DevicePool") -> bool:
         """``model``-mode fault draw: seeded Bernoulli at the device's
@@ -723,12 +717,15 @@ class DevicePool:
         self._operands: "OrderedDict[Tuple[str, float, int], np.ndarray]" \
             = OrderedDict()
         self._operand_cache = operand_cache
-        #: Optional :class:`~repro.store.ArtifactStore` shared by every
-        #: device executor (and the golden device): programming-phase
-        #: state resolves through it, so a primed store serves warm
-        #: starts with zero compilations.  None is the storeless path,
+        #: Optional :class:`~repro.store.ArtifactStore`: the lower tier
+        #: under :attr:`_images`.  Each workload's first programming
+        #: resolves through it, so a primed store serves warm starts
+        #: with zero compilations.  None is the storeless path,
         #: bit-identical to pre-store behaviour.
         self.artifact_store = artifact_store
+        #: Programmed images by ``(dataset, scale, kernel)``, one per
+        #: workload for the life of the pool (see :meth:`image`).
+        self._images: Dict[Tuple[str, float, str], object] = {}
         #: ``(dataset, scale, kernel)`` workloads a real device has
         #: programmed, in first-seen order — the priming list a
         #: store-backed scale-up warms a fresh device from.
@@ -774,6 +771,40 @@ class DevicePool:
     # ------------------------------------------------------------------
     # Shared golden side
     # ------------------------------------------------------------------
+    def image(self, key: Tuple[str, float, str]):
+        """The pool's programmed copy of workload ``key``.
+
+        Converted and compiled on first use, fault-free, through the
+        artifact store when one is attached; every device (and the
+        golden pricing device) binds it rather than programming its
+        own.  The result is an :class:`~repro.core.Alrescha` (``spmv``,
+        ``symgs``) or an :class:`~repro.solvers.AcceleratorBackend`
+        (``pcg``); either one's ``bind(fault_model)`` makes a device's
+        executor.
+        """
+        exe = self._images.get(key)
+        if exe is None:
+            dataset, scale, kernel = key
+            matrix = self.matrix(dataset, scale)
+            config = AlreschaConfig(artifact_store=self.artifact_store)
+            source = {"dataset": dataset, "scale": scale}
+            if kernel == "spmv":
+                exe = Alrescha.from_matrix(KernelType.SPMV, matrix,
+                                           config=config, source=source)
+            elif kernel == "symgs":
+                exe = Alrescha.from_matrix(KernelType.SYMGS, matrix,
+                                           config=config, source=source)
+            elif kernel == "pcg":
+                from repro.solvers import AcceleratorBackend
+                exe = AcceleratorBackend(matrix, config=config,
+                                         source=source)
+            else:
+                raise ConfigError(
+                    f"unknown job kernel {kernel!r}; "
+                    f"known: {JOB_KERNELS}")
+            self._images[key] = exe
+        return exe
+
     def matrix(self, dataset: str, scale: float):
         from repro.datasets import load_dataset
         return load_dataset(dataset, scale=scale).matrix

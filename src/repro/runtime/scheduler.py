@@ -1447,29 +1447,25 @@ class Scheduler:
         return device
 
     def _prime_device(self, device: Device, now: float) -> None:
-        """Warm a fresh device from the shared artifact store.
+        """Bind a fresh device to every image its siblings run.
 
-        Every workload a sibling has programmed is resolved through the
-        store before the newcomer takes traffic, so a warm store means
-        the scale-up compiles nothing — the elastic analogue of the
-        store's warm-start serving guarantee.  ``prime_hits`` counts
-        the store loads/memory hits the priming pass consumed.  A
-        storeless pool (or ``model`` execution, which never programs)
-        skips priming entirely.
+        Every workload in ``pool.workloads_seen`` is bound from the
+        pool's image memo before the newcomer takes traffic, so the
+        scale-up converts and compiles nothing.  ``prime_hits`` counts
+        one per accelerator image bound (three for a ``pcg`` workload).
+        Priming happens only where it always has: a store-backed pool
+        in ``simulate`` execution (``model`` execution never programs).
         """
         pool = self.pool
         if pool.artifact_store is None or pool.execution != "simulate":
             return
-        before = pool.artifact_store.report()
-        warm = before.conversions_loaded + before.memory_hits
         for dataset, scale, kernel in list(pool.workloads_seen):
             job = Job(job_id=-1, kernel=kernel, dataset=dataset,
                       scale=scale, arrival_cycle=now,
                       deadline_cycles=1.0)
-            device._executor(job, pool)
-        after = pool.artifact_store.report()
-        self.autoscaler.prime_hits += max(
-            0, after.conversions_loaded + after.memory_hits - warm)
+            exe = device._executor(job, pool)
+            self.autoscaler.prime_hits += len(
+                getattr(exe, "accelerators", (exe,)))
 
     def _start_drain(self, device: Device, now: float) -> None:
         """Begin drain-before-remove on a scale-down target.

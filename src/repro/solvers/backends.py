@@ -16,7 +16,8 @@ dominant kernels — SpMV and the SymGS smoother/preconditioner (Figure 3)
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +26,7 @@ from repro.core.accelerator import Alrescha, AlreschaConfig
 from repro.core.config import KernelType
 from repro.core.report import SimReport, combine
 from repro.errors import ConfigError
+from repro.sim.faults import FaultModel
 from repro.kernels import backward_sweep, forward_sweep_vectorized, spmv
 from repro.kernels.spmv import to_csr
 
@@ -87,6 +89,32 @@ class AcceleratorBackend:
         self._reports: List[SimReport] = []
         self._last_kernel: Optional[str] = None
         self.kernel_switches = 0
+
+    @property
+    def accelerators(self) -> Tuple[Alrescha, ...]:
+        """The programmed accelerators: SpMV, forward SymGS and (with
+        the symmetric smoother) the order-reversed SymGS."""
+        accs = (self._spmv_acc, self._symgs_acc, self._symgs_rev_acc)
+        return tuple(acc for acc in accs if acc is not None)
+
+    def bind(self, fault_model: Optional[FaultModel]
+             ) -> "AcceleratorBackend":
+        """A backend on this one's programmed images with its own fault
+        model, fresh reports and fresh cross-check state (see
+        :meth:`~repro.core.accelerator.Alrescha.bind`)."""
+        twin = object.__new__(AcceleratorBackend)
+        twin.n = self.n
+        twin.config = replace(self.config, fault_model=fault_model)
+        twin.symmetric_smoother = self.symmetric_smoother
+        twin._spmv_acc = self._spmv_acc.bind(fault_model)
+        twin._symgs_acc = self._symgs_acc.bind(fault_model)
+        twin._symgs_rev_acc = (
+            self._symgs_rev_acc.bind(fault_model)
+            if self._symgs_rev_acc is not None else None)
+        twin._reports = []
+        twin._last_kernel = None
+        twin.kernel_switches = 0
+        return twin
 
     # ------------------------------------------------------------------
     # Kernels
