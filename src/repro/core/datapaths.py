@@ -83,11 +83,12 @@ def dsymgs_solve(body: np.ndarray, diag: np.ndarray, b_chunk: np.ndarray,
                  valid_rows: int, omega: int) -> np.ndarray:
     """The arithmetic of one D-SymGS block, without event counting.
 
-    This is the exact recurrence :func:`dsymgs_block` executes — shared
-    with the compiled plan layer (:mod:`repro.core.plan`), which accounts
-    events through its captured report template instead of live counters.
-    The expressions are kept operation-for-operation identical to the
-    counted path so both produce bit-identical iterates.
+    This is the exact recurrence :func:`dsymgs_block` executes.  The
+    compiled SymGS plan (:class:`~repro.core.plan.CompiledSymgsPass`)
+    does not call it; it mirrors this operation order — the x^{t-1}
+    dots batched ahead of the sweep, the rest on Python floats — so
+    both paths produce bit-identical iterates.  Any change here must be
+    made there too.
     """
     x_new = np.zeros(omega, dtype=np.float64)
     for r in range(valid_rows):

@@ -31,8 +31,8 @@ operands and captures its report as a template; each plan run returns a
 :meth:`~repro.core.report.SimReport.clone` of it.  This makes report
 identity hold by construction — including the sequence-dependent LRU
 cache counters — and the functional results are computed with
-operation-for-operation identical numpy expressions, so kernel outputs
-are bit-identical too (property-tested against the legacy path).
+operation-for-operation identical expressions, so kernel outputs are
+bit-identical too (property-tested against the legacy path).
 
 Compilation cross-checks the lowered artifacts against the captured
 template (compute-cycle totals, memory request counts) and refuses to
@@ -51,13 +51,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.core.config import DataPathType, KernelType, OperandPort
-from repro.core.datapaths import dsymgs_solve
 from repro.core.report import SimReport
 from repro.observe.tracer import Span, Tracer
 from repro.sim.faults import charge_event
@@ -196,6 +195,26 @@ def _replay_spans(acc, span_template: List[Span], extra_cycles: float,
                                  tracer.cursor("channel"), "channel")
 
 
+def _deliver_run(acc, payloads: Sequence[np.ndarray], checksums: List[int],
+                 restream_cycles: float
+                 ) -> Tuple[float, list, Dict[int, np.ndarray]]:
+    """Push one pass's payload run through ``acc``'s fault channel.
+
+    Returns ``(extra_cycles, events, replaced)`` as
+    :meth:`~repro.sim.faults.FaultModel.deliver_run` does; with no fault
+    model attached every block arrives pristine and nothing is drawn.
+    Checksums are verified only when the binding asks for it (config or
+    forced verification after a cross-check failure).
+    """
+    cfg = acc.config
+    fm = cfg.fault_model
+    if fm is None:
+        return 0.0, [], {}
+    verify = cfg.verify_checksums or acc._force_verify
+    return fm.deliver_run(payloads, checksums if verify else None,
+                          restream_cycles)
+
+
 def _verify_against_template(kind: str, artifacts: PassArtifacts,
                              template: SimReport,
                              n_requests: int) -> None:
@@ -249,7 +268,7 @@ class CompiledStreamingPass:
         self.artifacts = artifacts
         self.template = template
         #: Per-block payload CRCs in stacked order (``program()`` data).
-        self.checksums = checksums or []
+        self.checksums = [int(c) for c in checksums or []]
         #: Channel cost of re-fetching one block, for pricing retries.
         self.restream_cycles = restream_cycles
         self.padded_block_bytes = padded_block_bytes
@@ -306,32 +325,20 @@ class CompiledStreamingPass:
         channel, in the interpreter's transfer order.
 
         Returns ``(blocks, masks, extra_cycles, events)``.  With no
-        fault model these are the pristine compile-time arrays and the
-        call is one attribute check; a silent bitflip replaces the
-        stacked tensor with a corrupted *copy* — the compile-time
-        ``self.blocks`` stays pristine for cross-checking.
+        fault model these are the pristine compile-time arrays; a
+        silent bitflip replaces the stacked tensor with a corrupted
+        *copy* — the compile-time ``self.blocks`` stays pristine for
+        cross-checking.
         """
-        cfg = acc.config
-        fm = cfg.fault_model
-        if fm is None:
-            return self.blocks, self.masks, 0.0, []
-        verify = cfg.verify_checksums or acc._force_verify
+        extra, events, replaced = _deliver_run(
+            acc, self.blocks, self.checksums, self.restream_cycles)
         blocks, masks = self.blocks, self.masks
-        extra, events = 0.0, []
-        for i in range(self.blocks.shape[0]):
-            src = self.blocks[i]
-            checksum = int(self.checksums[i]) if verify else None
-            vals, cycles, event = fm.deliver(
-                src, checksum, restream_cycles=self.restream_cycles)
-            extra += cycles
-            if event is not None:
-                events.append(event)
-            if vals is not src:
-                if blocks is self.blocks:
-                    blocks = self.blocks.copy()
+        if replaced:
+            blocks = self.blocks.copy()
+            for i, vals in replaced.items():
                 blocks[i] = vals
-        if blocks is not self.blocks and self.kind != "spmv":
-            masks = blocks != 0.0
+            if self.kind != "spmv":
+                masks = blocks != 0.0
         return blocks, masks, extra, events
 
     def _finish_report(self, acc, extra_cycles: float,
@@ -519,16 +526,15 @@ class CompiledStreamingPass:
 
 @dataclass(frozen=True)
 class _SymgsRow:
-    """One block row of a compiled SymGS sweep."""
+    """One D-SymGS block row of a compiled SymGS sweep."""
 
     seg_start: int
     seg_len: int
     start: int
     valid: int
-    #: Diagonal block body (main diagonal zeroed); None for rows
-    #: without a D-SymGS entry.
-    body: Optional[np.ndarray]
-    #: Programmed payload CRC of the diagonal block (0 when no body).
+    #: Diagonal block body (main diagonal zeroed).
+    body: np.ndarray
+    #: Programmed payload CRC of the diagonal block.
     checksum: int = 0
 
 
@@ -537,10 +543,22 @@ class CompiledSymgsPass:
 
     Block rows are inherently sequential — the D-SymGS of row *i* waits
     for the row's GEMV partials and later rows read its output — so the
-    plan keeps that loop, but each row is one gather + one batched
-    matmul + the shared :func:`~repro.core.datapaths.dsymgs_solve`
-    recurrence, with no cache/counter machinery on the hot path.
-    Partials travel through a LIFO just like the RCU link stack.
+    plan keeps that loop, but everything that does not depend on the
+    fresh iterate is hoisted out of it.  A sweep is:
+
+    1. one pass of the whole payload run (each row's GEMV blocks, then
+       its diagonal block) through the fault channel
+       (:meth:`~repro.sim.faults.FaultModel.deliver_run`);
+    2. every x^{t-1} upper dot of every D-SymGS row, in at most ω-1
+       batched matmuls (one per local row, over all block rows);
+    3. per block row: one gather + matmul for the GEMV partials, summed
+       in link-stack pop order, then the scalar Gauss-Seidel recurrence
+       on Python floats with only the x^t lower dot left in numpy.
+
+    The plan does not call :func:`~repro.core.datapaths.dsymgs_solve`;
+    it mirrors its operation order, so every iterate is bit-identical
+    to the interpreter's.  Solo and batched runs share one sweep core:
+    a solo sweep is a batch of one column.
     """
 
     def __init__(self, n: int, omega: int, blocks: np.ndarray,
@@ -559,8 +577,6 @@ class CompiledSymgsPass:
         self.rows = rows
         self.artifacts = artifacts
         self.template = template
-        #: Per-GEMV-block payload CRCs in stacked order.
-        self.checksums = checksums or []
         self.restream_cycles = restream_cycles
         self.padded_block_bytes = padded_block_bytes
         #: Spans captured alongside the report template (empty when the
@@ -569,85 +585,42 @@ class CompiledSymgsPass:
         self._diag_pad = np.zeros(self.npad)
         self._diag_pad[:n] = diag
         _freeze(blocks, gather, self._diag_pad)
+        #: Per row: the pivots as Python floats, and the lower-half
+        #: views ``body[r, :r]`` the x^t dots read.
+        self._pivots = [
+            tuple(self._diag_pad[row.start:row.start + row.valid].tolist())
+            for row in rows]
+        self._lowers = [_lower_views(row.body, row.valid) for row in rows]
+        self._uppers = _upper_stacks(rows, omega)
+        # The payload run in transfer order with its CRCs (``checksums``
+        # are the GEMV blocks', stacked order), and where each transfer
+        # lands: ("gemv", stacked index) or ("diag", row index).
+        checksums = checksums or []
+        self._payloads: List[np.ndarray] = []
+        self._payload_checksums: List[int] = []
+        self._slots: List[Tuple[str, int]] = []
+        for d, row in enumerate(rows):
+            for j in range(row.seg_start, row.seg_start + row.seg_len):
+                self._payloads.append(blocks[j])
+                self._payload_checksums.append(int(checksums[j]))
+                self._slots.append(("gemv", j))
+            self._payloads.append(row.body)
+            self._payload_checksums.append(int(row.checksum))
+            self._slots.append(("diag", d))
         #: Per-width batch report templates, captured lazily from the
         #: legacy batch interpreter the first time each width runs.
         self._batch_templates: Dict[int, Tuple[SimReport, List[Span]]] = {}
 
     def run(self, acc, b: np.ndarray, x_prev: np.ndarray
             ) -> Tuple[np.ndarray, SimReport]:
-        n, w, npad = self.n, self.omega, self.npad
+        n = self.n
         if b.shape != (n,) or x_prev.shape != (n,):
             raise SimulationError(
                 f"operand vectors must have shape ({n},)"
             )
-        # Plane 0 is x^t (updated in place), plane 1 the read-only
-        # x^{t-1}; gather indices address the flattened pair so each
-        # entry's operand port resolves with no per-block branching.
-        state = np.zeros((2, npad))
-        state[0, :n] = x_prev
-        state[1, :n] = x_prev
-        flat = state.reshape(-1)
-        b_pad = np.zeros(npad)
-        b_pad[:n] = b
-        cfg = acc.config
-        fm = cfg.fault_model
-        verify = fm is not None and (cfg.verify_checksums
-                                     or acc._force_verify)
-        extra, events = 0.0, []
-        stack: List[np.ndarray] = []
-        for row in self.rows:
-            if row.seg_len:
-                lo = row.seg_start
-                hi = lo + row.seg_len
-                seg_blocks = self.blocks[lo:hi]
-                if fm is not None:
-                    # Same transfer order as the interpreter: the row's
-                    # GEMV blocks first, then its diagonal block below.
-                    delivered = None
-                    for j in range(lo, hi):
-                        src = self.blocks[j]
-                        checksum = (int(self.checksums[j]) if verify
-                                    else None)
-                        vals, cycles, event = fm.deliver(
-                            src, checksum,
-                            restream_cycles=self.restream_cycles)
-                        extra += cycles
-                        if event is not None:
-                            events.append(event)
-                        if vals is not src:
-                            if delivered is None:
-                                delivered = seg_blocks.copy()
-                            delivered[j - lo] = vals
-                    if delivered is not None:
-                        seg_blocks = delivered
-                chunks = flat[self.gather[lo:hi]]
-                partial = np.matmul(seg_blocks,
-                                    chunks[:, :, None])[:, :, 0]
-                stack.extend(partial)
-            if row.body is not None:
-                body = row.body
-                if fm is not None:
-                    checksum = row.checksum if verify else None
-                    vals, cycles, event = fm.deliver(
-                        body, checksum,
-                        restream_cycles=self.restream_cycles)
-                    extra += cycles
-                    if event is not None:
-                        events.append(event)
-                    body = vals
-                total = np.zeros(w)
-                while stack:
-                    total += stack.pop()
-                sl = slice(row.start, row.start + w)
-                x_new = dsymgs_solve(body, self._diag_pad[sl],
-                                     b_pad[sl], state[1, sl], total,
-                                     row.valid, w)
-                state[0, row.start:row.start + row.valid] = \
-                    x_new[:row.valid]
-        report = self.template.clone()
-        _apply_fault_events(report, extra, events, self.padded_block_bytes)
-        _replay_spans(acc, self.span_template, extra, events)
-        return state[0, :n].copy(), report
+        x, report = self._sweep(acc, b[None, :], x_prev[None, :],
+                                self.template, self.span_template)
+        return x[0], report
 
     def _batch_template(self, acc, k: int
                         ) -> Tuple[SimReport, List[Span]]:
@@ -664,13 +637,12 @@ class CompiledSymgsPass:
 
         Each payload block crosses the channel once per batch — shared
         fault exposure, one payload's DRAM traffic — and every column
-        then advances its own two-plane state with expressions
-        identical to :meth:`run` on that column alone, so per-column
-        answers are bit-identical to solo service.  The report clones
-        the width-``k`` template captured from
+        then runs the same sweep core as :meth:`run` on that column
+        alone, so per-column answers are bit-identical to solo service.
+        The report clones the width-``k`` template captured from
         :meth:`~repro.core.accelerator.Alrescha._legacy_run_symgs_batch`.
         """
-        n, w, npad = self.n, self.omega, self.npad
+        n = self.n
         b = np.asarray(b, dtype=np.float64)
         x_prev = np.asarray(x_prev, dtype=np.float64)
         if (b.ndim != 2 or b.shape[0] != n or b.shape[1] < 1
@@ -678,75 +650,135 @@ class CompiledSymgsPass:
             raise SimulationError(
                 f"operand panels must be ({n}, k>=1) and equal-shaped, "
                 f"got {b.shape} and {x_prev.shape}")
-        k = b.shape[1]
-        template, span_template = self._batch_template(acc, k)
+        template, span_template = self._batch_template(acc, b.shape[1])
+        x, report = self._sweep(acc, b.T, x_prev.T, template, span_template)
+        return x.T.copy(), report
+
+    def _deliver(self, acc):
+        """One pass of the sweep's payload run through the channel.
+
+        Returns ``(blocks, bodies, dirty, extra_cycles, events)``: the
+        GEMV block stack and per-row diagonal bodies as delivered
+        (pristine compile-time arrays unless a silent bitflip replaced
+        one with a corrupted copy), and the rows whose body was
+        replaced.
+        """
+        extra, events, replaced = _deliver_run(
+            acc, self._payloads, self._payload_checksums,
+            self.restream_cycles)
+        blocks = self.blocks
+        bodies = [row.body for row in self.rows]
+        dirty = set()
+        for t, vals in replaced.items():
+            where, i = self._slots[t]
+            if where == "diag":
+                bodies[i] = vals
+                dirty.add(i)
+            else:
+                if blocks is self.blocks:
+                    blocks = self.blocks.copy()
+                blocks[i] = vals
+        return blocks, bodies, dirty, extra, events
+
+    def _sweep(self, acc, b: np.ndarray, x_prev: np.ndarray,
+               template: SimReport, span_template: List[Span]
+               ) -> Tuple[np.ndarray, SimReport]:
+        """The sweep core: ``k`` columns (rows of ``b``/``x_prev``,
+        each ``(k, n)``) over one payload delivery.
+
+        Returns the ``(k, n)`` new iterates and ``template``'s clone
+        charged with the run's faults (``span_template`` is replayed).
+        """
+        n, w, npad = self.n, self.omega, self.npad
+        k = b.shape[0]
+        blocks, bodies, dirty, extra, events = self._deliver(acc)
+        # Plane 0 is x^t (updated in place), plane 1 the read-only
+        # x^{t-1}; gather indices address the flattened pair so each
+        # entry's operand port resolves with no per-block branching.
         states = np.zeros((k, 2, npad))
-        states[:, 0, :n] = x_prev.T
-        states[:, 1, :n] = x_prev.T
-        flats = [states[col].reshape(-1) for col in range(k)]
-        b_pads = np.zeros((k, npad))
-        b_pads[:, :n] = b.T
-        cfg = acc.config
-        fm = cfg.fault_model
-        verify = fm is not None and (cfg.verify_checksums
-                                     or acc._force_verify)
-        extra, events = 0.0, []
-        stacks: List[List[np.ndarray]] = [[] for _ in range(k)]
-        for row in self.rows:
+        states[:, 0, :n] = x_prev
+        states[:, 1, :n] = x_prev
+        flat = states.reshape(k, 2 * npad)
+        x_old = states[:, 1]
+        b_pad = np.zeros((k, npad))
+        b_pad[:, :n] = b
+        b_cols = b_pad.tolist()
+        # Every x^{t-1} dot up front: the operands never change during
+        # the sweep.  A (1, L) @ (L, 1) matmul item is the same ddot the
+        # interpreter's 1-D ``upper @ x_old`` runs, provided the gathered
+        # operand is C-contiguous: ``take`` keeps it so, where
+        # ``x[:, idx]`` would put the column axis innermost and BLAS
+        # would sum the strided operand in another order.
+        upper = np.zeros((k, len(self.rows), w))
+        for r, stack, cols, idx in self._uppers:
+            upper[:, idx, r] = np.matmul(
+                stack, x_old.take(cols, axis=1)[..., None])[..., 0, 0]
+        for d in dirty:
+            row, body = self.rows[d], bodies[d]
+            for c in range(k):
+                old = x_old[c, row.start:row.start + w]
+                for r in range(row.valid):
+                    upper[c, d, r] = float(body[r, r + 1:] @ old[r + 1:])
+        uppers = upper.tolist()
+        zeros = [0.0] * w
+        for d, row in enumerate(self.rows):
+            start, valid = row.start, row.valid
             if row.seg_len:
                 lo = row.seg_start
                 hi = lo + row.seg_len
-                seg_blocks = self.blocks[lo:hi]
-                if fm is not None:
-                    delivered = None
-                    for j in range(lo, hi):
-                        src = self.blocks[j]
-                        checksum = (int(self.checksums[j]) if verify
-                                    else None)
-                        vals, cycles, event = fm.deliver(
-                            src, checksum,
-                            restream_cycles=self.restream_cycles)
-                        extra += cycles
-                        if event is not None:
-                            events.append(event)
-                        if vals is not src:
-                            if delivered is None:
-                                delivered = seg_blocks.copy()
-                            delivered[j - lo] = vals
-                    if delivered is not None:
-                        seg_blocks = delivered
-                for col in range(k):
-                    chunks = flats[col][self.gather[lo:hi]]
-                    partial = np.matmul(seg_blocks,
-                                        chunks[:, :, None])[:, :, 0]
-                    stacks[col].extend(partial)
-            if row.body is not None:
-                body = row.body
-                if fm is not None:
-                    checksum = row.checksum if verify else None
-                    vals, cycles, event = fm.deliver(
-                        body, checksum,
-                        restream_cycles=self.restream_cycles)
-                    extra += cycles
-                    if event is not None:
-                        events.append(event)
-                    body = vals
-                sl = slice(row.start, row.start + w)
-                for col in range(k):
-                    total = np.zeros(w)
-                    stack = stacks[col]
-                    while stack:
-                        total += stack.pop()
-                    x_new = dsymgs_solve(body, self._diag_pad[sl],
-                                         b_pads[col, sl],
-                                         states[col, 1, sl], total,
-                                         row.valid, w)
-                    states[col, 0, row.start:row.start + row.valid] = \
-                        x_new[:row.valid]
+                chunks = flat.take(self.gather[lo:hi], axis=1)
+                partial = np.matmul(blocks[lo:hi], chunks[..., None])
+                # The link stack pops LIFO onto a zero accumulator.
+                sums = np.add.reduce(partial[:, ::-1, :, 0], axis=1,
+                                     initial=0.0).tolist()
+            else:
+                sums = [zeros] * k
+            lower = (_lower_views(bodies[d], valid) if d in dirty
+                     else self._lowers[d])
+            pivots = self._pivots[d]
+            for c in range(k):
+                xt = states[c, 0]
+                acc_c, up, bc = sums[c], uppers[c][d], b_cols[c]
+                for r in range(valid):
+                    if r:
+                        dot = float(lower[r] @ xt[start:start + r]) + up[r]
+                    else:
+                        dot = 0.0 + up[0]
+                    xt[start + r] = (bc[start + r] - (acc_c[r] + dot)) \
+                        / pivots[r]
         report = template.clone()
         _apply_fault_events(report, extra, events, self.padded_block_bytes)
         _replay_spans(acc, span_template, extra, events)
-        return states[:, 0, :n].T.copy(), report
+        return states[:, 0, :n].copy(), report
+
+
+def _lower_views(body: np.ndarray, valid: int) -> Tuple[np.ndarray, ...]:
+    """The row-halves ``body[r, :r]`` the x^t dots read, per local row."""
+    return tuple(body[r, :r] for r in range(valid))
+
+
+def _upper_stacks(rows: List[_SymgsRow], omega: int
+                  ) -> List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per local row ``r``: the stacked upper halves ``body[r, r+1:]``
+    of every row with ``valid > r``, as ``(R, 1, L)``; their ``(R, L)``
+    gather columns into padded x^{t-1}; and their row indices.
+
+    Local row ω-1 has an empty upper half (its dot is 0.0) and is
+    skipped.
+    """
+    if not rows:
+        return []
+    bodies = np.stack([row.body for row in rows])
+    valid = np.asarray([row.valid for row in rows])
+    starts = np.asarray([row.start for row in rows], dtype=np.int64)
+    out = []
+    for r in range(omega - 1):
+        idx = np.nonzero(valid > r)[0]
+        stack = bodies[idx, r, r + 1:][:, None, :]
+        cols = starts[idx, None] + np.arange(r + 1, omega)
+        _freeze(stack, cols, idx)
+        out.append((r, stack, cols, idx))
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -954,22 +986,27 @@ def _compile_symgs(acc) -> CompiledSymgsPass:
             stream_vec.append(spb)
             compute_vec.append(timing.compute_cycles_per_block(op.dp))
             n_requests += 1
-        body = None
-        body_checksum = 0
-        start = group.block_row * w
-        valid = max(0, min(w, n - start))
         if group.diagonal is not None:
-            body = group.diagonal.values
-            body_checksum = group.diagonal.checksum
             refetch = (not acc.conversion.reordered) and group.streaming
             stream_vec.append(2.0 * spb if refetch else spb)
             n_requests += 2 if refetch else 1
             compute_vec.append(
                 timing.compute_cycles_per_block(DataPathType.D_SYMGS))
-        rows.append(_SymgsRow(seg_start=seg_start,
-                              seg_len=len(blocks) - seg_start,
-                              start=start, valid=valid, body=body,
-                              checksum=body_checksum))
+            start = group.block_row * w
+            rows.append(_SymgsRow(seg_start=seg_start,
+                                  seg_len=len(blocks) - seg_start,
+                                  start=start,
+                                  valid=max(0, min(w, n - start)),
+                                  body=group.diagonal.values,
+                                  checksum=group.diagonal.checksum))
+        elif group.streaming:
+            # Algorithm 1 always closes a block row that has GEMV blocks
+            # with a D-SymGS entry; without one the row's partials would
+            # leak into the next row's link-stack pop.
+            raise ConfigError(
+                f"SymGS block row {group.block_row} has "
+                f"{len(group.streaming)} GEMV blocks but no D-SymGS "
+                f"entry")
         seg_len.append(len(blocks) - seg_start)
         out_rows.append(group.block_row)
     m = len(blocks)

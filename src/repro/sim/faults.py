@@ -47,7 +47,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,6 +237,52 @@ class FaultModel:
         self._transfers += 1
         if self._rng.random() >= self.rate:
             return values, 0.0, None
+        return self._strike(index, values, checksum, restream_cycles)
+
+    def deliver_run(self, payloads: Sequence[np.ndarray],
+                    checksums: Optional[Sequence[int]] = None,
+                    restream_cycles: float = 0.0
+                    ) -> Tuple[float, List[FaultEvent],
+                               Dict[int, np.ndarray]]:
+        """Pass a run of payload blocks through the channel, in order.
+
+        Exactly equivalent to calling :meth:`deliver` on each block in
+        turn — same draws, same log, same transfer count, and the same
+        :class:`~repro.errors.FaultError` at the same transfer — but
+        the clean-transfer path is one RNG draw per block.  Returns
+        ``(extra_cycles, events, replaced)``: the summed recovery
+        cycles, the logged events in transfer order, and a map from
+        position in ``payloads`` to the corrupted copy delivered there
+        (silent bitflips only; every other block arrived pristine).
+        ``checksums`` (None = unverified) runs parallel to
+        ``payloads``.
+        """
+        extra = 0.0
+        events: List[FaultEvent] = []
+        replaced: Dict[int, np.ndarray] = {}
+        base = self._transfers
+        draw = self._rng.random
+        rate = self.rate
+        for i, values in enumerate(payloads):
+            if draw() >= rate:
+                continue
+            self._transfers = base + i + 1
+            vals, cycles, event = self._strike(
+                base + i, values,
+                None if checksums is None else checksums[i],
+                restream_cycles)
+            extra += cycles
+            events.append(event)
+            if vals is not values:
+                replaced[i] = vals
+        self._transfers = base + len(payloads)
+        return extra, events, replaced
+
+    def _strike(self, index: int, values: np.ndarray,
+                checksum: Optional[int], restream_cycles: float
+                ) -> Tuple[np.ndarray, float, FaultEvent]:
+        """Inject the fault a transfer's draw selected (see
+        :meth:`deliver`)."""
         kind = self.kinds[self._rng.randrange(len(self.kinds))]
 
         if kind == "latency":

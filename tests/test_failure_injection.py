@@ -11,6 +11,8 @@ counter reconciliation against the injection log.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Alrescha, AlreschaConfig, KernelType, convert
 from repro.core.config import ConfigEntry, ConfigTable, DataPathType, \
@@ -19,7 +21,7 @@ from repro.core.convert import ConversionResult
 from repro.errors import (CapacityError, ConfigError, ConvergenceError,
                           CorruptionError, FaultError, ReproError,
                           SimulationError)
-from repro.sim.faults import FaultModel, payload_checksum
+from repro.sim.faults import FAULT_KINDS, FaultModel, payload_checksum
 
 
 class TestCorruptedPrograms:
@@ -170,6 +172,146 @@ class TestFaultModel:
         vals, extra, event = fm.deliver(b, payload_checksum(b))
         assert vals is b and extra == 0.0 and event is None
         assert fm.injected == 0
+
+
+def _deliver_loop(fm, blocks, checksums, restream_cycles):
+    """The reference for ``deliver_run``: one ``deliver`` per block."""
+    extra, events, replaced = 0.0, [], {}
+    for i, block in enumerate(blocks):
+        vals, cycles, event = fm.deliver(
+            block, None if checksums is None else checksums[i],
+            restream_cycles=restream_cycles)
+        extra += cycles
+        if event is not None:
+            events.append(event)
+        if vals is not block:
+            replaced[i] = vals
+    return extra, events, replaced
+
+
+def _outcome(call):
+    """``call()``'s result, or the text of the FaultError it raised."""
+    try:
+        return call()
+    except FaultError as exc:
+        return ("FaultError", str(exc))
+
+
+class TestDeliverRun:
+    """``FaultModel.deliver_run`` is a loop of ``deliver``, batched."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rate=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+           kinds=st.sets(st.sampled_from(FAULT_KINDS), min_size=1),
+           persistent=st.booleans(),
+           with_checksums=st.booleans(),
+           seed=st.integers(0, 2 ** 16),
+           n=st.integers(0, 40))
+    def test_equals_a_loop_of_deliver(self, rate, kinds, persistent,
+                                      with_checksums, seed, n):
+        kinds = tuple(k for k in FAULT_KINDS if k in kinds)
+        blocks = [np.full((4, 4), float(i)) + np.eye(4) for i in range(n)]
+        checksums = ([payload_checksum(b) for b in blocks]
+                     if with_checksums else None)
+        models = [FaultModel(rate=rate, seed=seed, kinds=kinds,
+                             persistent=persistent) for _ in range(2)]
+        loop = _outcome(lambda: _deliver_loop(models[0], blocks,
+                                              checksums, 8.0))
+        run = _outcome(lambda: models[1].deliver_run(blocks, checksums,
+                                                     8.0))
+        if loop[0] == "FaultError":
+            assert run == loop
+        else:
+            extra, events, replaced = run
+            assert (extra, events) == loop[:2]
+            assert replaced.keys() == loop[2].keys()
+            for i, vals in replaced.items():
+                assert vals.tobytes() == loop[2][i].tobytes()
+        ref, fm = models
+        assert fm.log == ref.log
+        assert fm.transfers == ref.transfers
+        assert fm._rng.random() == ref._rng.random()
+
+    def test_fault_error_at_the_same_transfer(self):
+        blocks = [np.eye(4)] * 30
+        ref, fm = (FaultModel(rate=0.3, seed=5, kinds=("drop",),
+                              persistent=True) for _ in range(2))
+        with pytest.raises(FaultError) as want:
+            _deliver_loop(ref, blocks, None, 8.0)
+        with pytest.raises(FaultError) as got:
+            fm.deliver_run(blocks, None, 8.0)
+        assert str(got.value) == str(want.value)
+        assert fm.transfers == ref.transfers > 1
+        assert fm.log == ref.log
+
+
+FAULT_COUNTERS = ("faults_injected", "faults_detected", "faults_corrected",
+                  "faults_silent", "retry_cycles", "fault_latency_cycles",
+                  "fault_restreams")
+
+
+class TestSymgsPlanUnderFaults:
+    """The compiled SymGS sweep consumes the fault channel exactly as
+    the interpreter does: same transfers, same log, same answer."""
+
+    def _serve(self, matrix, use_plan, fm, k, verify):
+        n = matrix.shape[0]
+        shape = (n,) if k is None else (n, k)
+        rng = np.random.default_rng(4)
+        b, x0 = rng.normal(size=shape), rng.normal(size=shape)
+        acc = Alrescha.from_matrix(
+            KernelType.SYMGS, matrix,
+            config=AlreschaConfig(use_plan=use_plan, fault_model=fm,
+                                  verify_checksums=verify))
+        run = acc.run_symgs_sweep if k is None else acc.run_symgs_batch
+
+        def call():
+            x, rep = run(b, x0)
+            return (x.shape, x.tobytes(),
+                    {key: rep.counters.get(key) for key in FAULT_COUNTERS})
+
+        outcome = _outcome(call)
+        return (outcome, [(e.index, e.kind, e.retry_cycles) for e in fm.log],
+                fm.transfers)
+
+    @pytest.mark.parametrize("kinds", [(kind,) for kind in FAULT_KINDS]
+                             + [FAULT_KINDS])
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_plan_matches_interpreter(self, spd_medium, kinds, verify, k):
+        interp, plan = (
+            self._serve(spd_medium, use_plan,
+                        FaultModel(rate=0.2, seed=17, kinds=kinds), k,
+                        verify)
+            for use_plan in (False, True))
+        assert plan == interp
+        (outcome, log, _transfers) = plan
+        assert log and outcome[0] != "FaultError"
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_dense_silent_bitflips(self, spd_medium, seed, k):
+        """Unverified bitflips at rate 0.5 corrupt GEMV blocks and both
+        halves of diagonal bodies (the x^t and x^{t-1} dots); the plan
+        must apply every corrupted copy where the interpreter does."""
+        interp, plan = (
+            self._serve(spd_medium, use_plan,
+                        FaultModel(rate=0.5, seed=seed, kinds=("bitflip",)),
+                        k, False)
+            for use_plan in (False, True))
+        assert plan == interp
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_same_fault_error_from_both_paths(self, spd_medium, k, verify):
+        interp, plan = (
+            self._serve(spd_medium, use_plan,
+                        FaultModel(rate=0.6, seed=5), k, verify)
+            for use_plan in (False, True))
+        assert plan == interp
+        outcome, log, transfers = plan
+        assert outcome[0] == "FaultError"
+        assert transfers > 1 and len(log) > 1
 
 
 class TestRuntimeFaults:

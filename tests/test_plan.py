@@ -11,8 +11,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import Alrescha, AlreschaConfig, KernelType
+from repro.core.accelerator import ProgrammedImage, _RowGroup
 from repro.core.plan import PLAN_KINDS, compile_pass
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 
 REPORT_FIELDS = (
     "kernel", "cycles", "frequency_hz", "useful_bytes", "streamed_bytes",
@@ -186,6 +187,25 @@ def test_compile_pass_rejects_unknown_kind():
     with pytest.raises(SimulationError):
         compile_pass(acc, "not-a-kind")
     assert "symgs" in PLAN_KINDS
+
+
+def test_symgs_row_without_dsymgs_entry_rejected_at_compile():
+    """Each row's GEMV partials must be popped by its own D-SymGS; an
+    image row that has GEMV blocks but no D-SymGS entry would leak them
+    into the next row, so the plan compiler refuses it."""
+    acc = Alrescha.from_matrix(KernelType.SYMGS, spd_matrix(40, seed=6))
+    image = acc.image
+    target = next(g for g in image.rows if g.streaming)
+    acc.image = ProgrammedImage(
+        image.conversion,
+        [_RowGroup(g.block_row, list(g.streaming),
+                   None if g is target else g.diagonal)
+         for g in image.rows],
+        image.table_order_switches)
+    with pytest.raises(ConfigError,
+                       match=f"block row {target.block_row} .*no D-SymGS"):
+        acc.compile_plans()
+    assert "symgs" not in acc.image.plans
 
 
 def test_plan_rejects_bad_operand_shapes():
