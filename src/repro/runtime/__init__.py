@@ -144,9 +144,10 @@ def serve(n_requests: int, n_devices: int = 4, fault_rate: float = 0.0,
     survived via salvage/retry, breaker quarantine and verified
     recovery.  ``hedge_after`` enables hedged dispatch at that multiple
     of the nominal estimate.  Both default off, and off means *inert*:
-    the scheduler runs its exact historical eager path and the report
-    is field-identical to one from before the chaos layer existed.
-    Ignored when an explicit ``scheduler_config`` is supplied (set
+    no incident is drawn, no hedge launched, and the chaos and hedge
+    counters stay zero; the scheduler loop itself is the same either
+    way.  ``hedge_after`` is ignored when an explicit
+    ``scheduler_config`` is supplied (set
     :attr:`SchedulerConfig.hedge_after` there instead; ``chaos`` still
     applies — it is pool state, not scheduler policy).
 

@@ -14,7 +14,10 @@ Event vocabulary (:class:`EventKind`):
 ``DISPATCH_COMPLETE``
     A device finishes the attempt it is running (its ``busy_until``).
 ``RETRY_READY``
-    A job requeued after a device fault becomes dispatchable again.
+    Reserved.  The scheduler no longer pushes it: a faulted job is
+    requeued at the cycle its attempt completes, and the dispatch pass
+    of that same wake can place it.  The kind keeps its value so every
+    other kind's coincident order is unchanged.
 ``BREAKER_REOPEN``
     An open circuit breaker finishes its cooldown and may be probed.
 ``DEADLINE_EXPIRY``
@@ -67,8 +70,8 @@ Events sort by ``(cycle, kind, key, seq)``:
 * ``cycle`` — simulated time, the primary key;
 * ``kind`` — the :class:`EventKind` integer value, so coincident
   events of different types are processed in a fixed, documented order
-  (arrivals before completions before retries before breaker reopens
-  before deadline expiries);
+  (arrivals before completions before breaker reopens before deadline
+  expiries);
 * ``key`` — ``job_id`` for job events, ``device_id`` for device
   events: ties inside one kind break by explicit identity, never by
   hash or insertion accident;

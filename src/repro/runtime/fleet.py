@@ -289,7 +289,6 @@ class Fleet:
         self.scheduler_config = scheduler_config or SchedulerConfig()
         self.pool_chaos = (pool_chaos if pool_chaos is not None
                            and pool_chaos.rate > 0.0 else None)
-        lifecycle = self.pool_chaos is not None
         self.pools: List[DevicePool] = []
         self.scheds: List[Scheduler] = []
         for i in range(config.n_pools):
@@ -311,7 +310,6 @@ class Fleet:
                 artifact_store=artifact_store)
             self.pools.append(pool)
             self.scheds.append(Scheduler(pool, self.scheduler_config,
-                                         lifecycle=lifecycle,
                                          autoscale=autoscale))
         # ---- run state
         self._events = EventQueue()

@@ -359,8 +359,8 @@ class Device:
         #: The live DEVICE_DRAIN event for this device, so a re-armed
         #: drain invalidates the superseded one (lazy deletion).
         self.drain_event = None
-        #: The scheduler's in-flight record while an attempt is being
-        #: deferred to its DISPATCH_COMPLETE (lifecycle mode only).
+        #: The scheduler's in-flight record while an attempt waits for
+        #: its DISPATCH_COMPLETE (None while idle).
         self.inflight = None
         #: Dispatch cycle of the first attempt (None until one runs) —
         #: the begin of the device's trace summary span.
@@ -418,7 +418,7 @@ class Device:
         return self._model_rng.random() < fm.rate
 
     def _attempt_model(self, job: Job, pool: "DevicePool",
-                       now: float, record: bool = True) -> Attempt:
+                       now: float) -> Attempt:
         """Price one attempt from the golden caches without running it.
 
         The scheduler-visible contract matches :meth:`attempt` — same
@@ -433,17 +433,13 @@ class Device:
         if self._model_fault(pool):
             fm = self.fault_model
             wasted = cycles + fm.backoff_cycles * (2 ** fm.max_retries - 1)
-            att = Attempt(ok=False, cycles=wasted,
-                          error="FaultError: modelled stream fault")
-        else:
-            att = Attempt(ok=True, cycles=cycles,
-                          dram_bytes=pool.nominal_dram_bytes(job))
-        if record:
-            self._record(job, pool, now, att)
-        return att
+            return Attempt(ok=False, cycles=wasted,
+                           error="FaultError: modelled stream fault")
+        return Attempt(ok=True, cycles=cycles,
+                       dram_bytes=pool.nominal_dram_bytes(job))
 
     def _attempt_model_batch(self, jobs: "List[Job]", pool: "DevicePool",
-                             now: float, record: bool = True) -> Attempt:
+                             now: float) -> Attempt:
         """``model``-mode analogue of :meth:`attempt_batch`."""
         lead = jobs[0]
         self.jobs_run += len(jobs)
@@ -453,39 +449,34 @@ class Device:
         if self._model_fault(pool):
             fm = self.fault_model
             wasted = cycles + fm.backoff_cycles * (2 ** fm.max_retries - 1)
-            att = Attempt(ok=False, cycles=wasted,
-                          error="FaultError: modelled stream fault")
-        else:
-            # One payload stream for the whole batch: charge the solo
-            # payload once plus nothing per extra operand (the per-RHS
-            # vector traffic is negligible next to the payload).
-            att = Attempt(ok=True, cycles=cycles,
-                          dram_bytes=pool.nominal_dram_bytes(lead))
-        if record:
-            self._record_batch(jobs, pool, now, att)
-        return att
+            return Attempt(ok=False, cycles=wasted,
+                           error="FaultError: modelled stream fault")
+        # One payload stream for the whole batch: charge the solo
+        # payload once plus nothing per extra operand (the per-RHS
+        # vector traffic is negligible next to the payload).
+        return Attempt(ok=True, cycles=cycles,
+                       dram_bytes=pool.nominal_dram_bytes(lead))
 
     def attempt(self, job: Job, pool: "DevicePool",
-                now: float = 0.0, record: bool = True) -> Attempt:
+                now: float = 0.0) -> Attempt:
         """Run one accelerator attempt; faults become a failed Attempt.
 
         A failed attempt still occupied the device: it is charged the
         workload's nominal cycles plus every retry/backoff cycle the
         fault model logged during the attempt.  ``now`` is the dispatch
-        cycle on the scheduler clock, used only to place the attempt's
-        trace span — it never changes the outcome.
+        cycle on the scheduler clock; it only marks the device's first
+        dispatch and never changes the outcome.  No trace span is
+        written here: the scheduler records it with
+        :meth:`record_flight` once the attempt's true extent is known
+        (a hang may stretch it, a crash or hedge cancellation may cut
+        it short).
 
         In a ``model``-execution pool the attempt is priced from the
         golden caches instead of running the kernel (the golden pricing
         device itself always simulates).
-
-        ``record=False`` suppresses the dispatch-time trace span; the
-        scheduler's lifecycle mode uses it and records the span itself
-        once the attempt's true extent is known (a hang may stretch it,
-        a crash or hedge cancellation may cut it short).
         """
         if pool.execution == "model" and self.device_id >= 0:
-            return self._attempt_model(job, pool, now, record=record)
+            return self._attempt_model(job, pool, now)
         exe = self._executor(job, pool)
         operand = pool.operand(job)
         fm = self.fault_model
@@ -516,12 +507,10 @@ class Device:
             wasted = pool.nominal_cycles(job) + (retry_after - retry_before)
             att = Attempt(ok=False, cycles=wasted,
                           error=f"{type(exc).__name__}: {exc}")
-        if record:
-            self._record(job, pool, now, att)
         return att
 
     def attempt_batch(self, jobs: "List[Job]", pool: "DevicePool",
-                      now: float = 0.0, record: bool = True) -> Attempt:
+                      now: float = 0.0) -> Attempt:
         """Run one fused multi-RHS attempt over same-workload jobs.
 
         The operand vectors stack into one ``(n, k)`` panel and the
@@ -530,12 +519,11 @@ class Device:
         job, in job order.  A fault fails the whole batch — one shared
         payload stream means one shared fault exposure — and the failed
         attempt is charged the golden batch service time plus the retry
-        cycles the fault model logged.  ``record=False`` defers the
-        trace spans to the caller, as in :meth:`attempt`.
+        cycles the fault model logged.  Trace spans are left to the
+        caller, as in :meth:`attempt`.
         """
         if pool.execution == "model" and self.device_id >= 0:
-            return self._attempt_model_batch(jobs, pool, now,
-                                             record=record)
+            return self._attempt_model_batch(jobs, pool, now)
         lead = jobs[0]
         exe = self._executor(lead, pool)
         operands = np.stack([pool.operand(j) for j in jobs], axis=1)
@@ -562,22 +550,22 @@ class Device:
                       + (retry_after - retry_before))
             att = Attempt(ok=False, cycles=wasted,
                           error=f"{type(exc).__name__}: {exc}")
-        if record:
-            self._record_batch(jobs, pool, now, att)
         return att
 
     def record_flight(self, jobs: "List[Job]", pool: "DevicePool",
                       begin: float, end: float, ok: bool,
                       error: str = "", cat: str = "job") -> None:
-        """Record a deferred attempt's spans at its *true* interval.
+        """Record an attempt's spans at its *true* interval.
 
-        Lifecycle mode dispatches with ``record=False`` and calls this
-        when the attempt's fate is known: ``cat="job"`` for attempts
-        that ran to completion (hang-stretched ends included),
-        ``"voided"`` for work a crash destroyed, ``"hedge_cancelled"``
-        for a speculative duplicate that lost the race.  Only ``"job"``
-        spans participate in the device-exclusivity invariant, so the
-        truncated non-job categories may share their interval freely.
+        The scheduler calls this when the attempt's fate is known:
+        ``cat="job"`` for attempts that ran to completion
+        (hang-stretched ends included), ``"voided"`` for work a crash
+        or pool outage destroyed, ``"hedge_cancelled"`` for a
+        speculative duplicate that lost the race, ``"probe"`` for a
+        fleet readmission probe.  A batched ``"job"`` flight also gets
+        one umbrella ``batch`` span.  Only ``"job"`` spans participate
+        in the device-exclusivity invariant, so the truncated non-job
+        categories may share their interval freely.
         """
         tracer = pool.tracer
         if tracer is None or self.device_id < 0 or end <= begin:
@@ -599,51 +587,6 @@ class Device:
             if error:
                 args["error"] = error
             tracer.add(f"{job.kernel}#{job.job_id}", cat, begin, end,
-                       track, args=args)
-
-    def _record(self, job: Job, pool: "DevicePool", now: float,
-                att: Attempt) -> None:
-        """Job span on this device's trace track.
-
-        The golden pricing device (id -1) stays untraced: its runs are
-        catalogue lookups, not scheduled work.
-        """
-        tracer = pool.tracer
-        if tracer is None or self.device_id < 0:
-            return
-        args: Dict[str, object] = {"ok": att.ok, "dataset": job.dataset}
-        if att.error:
-            args["error"] = att.error
-        tracer.add(f"{job.kernel}#{job.job_id}", "job", now,
-                   now + att.cycles,
-                   pool.track(f"device{self.device_id}"), args=args)
-
-    def _record_batch(self, jobs: "List[Job]", pool: "DevicePool",
-                      now: float, att: Attempt) -> None:
-        """One umbrella ``batch`` span plus the member ``job`` spans.
-
-        Every member occupies the device for the whole fused attempt,
-        so the job spans share one interval; the ``batch`` arg ties
-        them together, which is what lets the device-exclusivity
-        invariant accept the deliberate overlap.
-        """
-        tracer = pool.tracer
-        if tracer is None or self.device_id < 0:
-            return
-        bid = self._batch_seq
-        self._batch_seq += 1
-        end = now + att.cycles
-        track = pool.track(f"device{self.device_id}")
-        tracer.add(f"batch#{self.device_id}.{bid}", "batch", now, end,
-                   track, args={"jobs": float(len(jobs)),
-                                "kernel": jobs[0].kernel, "ok": att.ok})
-        for job in jobs:
-            args: Dict[str, object] = {
-                "ok": att.ok, "dataset": job.dataset,
-                "batch": float(bid), "batch_size": float(len(jobs))}
-            if att.error:
-                args["error"] = att.error
-            tracer.add(f"{job.kernel}#{job.job_id}", "job", now, end,
                        track, args=args)
 
 

@@ -5,8 +5,8 @@ engine of :mod:`repro.runtime.events`.  All time is in simulated
 cycles — the same clock :class:`~repro.core.report.SimReport`
 accumulates — so a run is bit-reproducible from its seeds and needs no
 threads, sleeps, or wall-clock reads.  Every future state change
-(arrival, dispatch completion, retry readiness, breaker reopen,
-deadline expiry) is a typed event pushed when it becomes known; the
+(arrival, dispatch completion, breaker reopen, deadline expiry,
+device incident) is a typed event pushed when it becomes known; the
 main loop pops the earliest one in O(log n) instead of re-scanning
 every queue and device per clock advance.  Coincident events are
 processed under the explicit total order ``(cycle, kind, key, seq)``
@@ -28,11 +28,9 @@ Policies
   stays attached — it is correct, merely late).  The strict-``>``
   boundary rule is uniform across every completion path, including the
   degraded reference path: a job finishing *exactly* at its deadline
-  met it.  A job that cannot possibly run again before its deadline (a
-  post-fault requeue whose retry-ready cycle lies beyond it) is
-  finalised at the deadline cycle itself via a deadline-expiry event,
-  so its ``finish_cycle``/``latency_cycles`` never inflate past the
-  deadline.
+  met it.  A job whose faulted attempt completes past its deadline is
+  finalised ``TIMEOUT`` at that completion cycle — the first cycle the
+  fault is known — never earlier.
 * **Retry-on-another-device** — a :class:`~repro.errors.FaultError` or
   :class:`~repro.errors.CorruptionError` consumes one attempt, charges
   the sick device the wasted cycles, feeds its breaker, and requeues
@@ -60,17 +58,16 @@ Policies
   occupied, and both attempts stay honestly counted (``attempts``,
   ``hedges_launched``/``hedges_won``).
 
-Execution modes of the loop itself
-----------------------------------
-Chaos-free and hedge-free, attempts finalise *eagerly at dispatch* —
-the historical code path, bit-identical to the scheduler before the
-chaos layer existed (the fingerprint corpus pins this).  With chaos or
-hedging configured the loop runs in *lifecycle* mode: an attempt's
-outcome is deferred to its ``DISPATCH_COMPLETE`` event so that crashes,
-hangs and hedge races can intervene mid-flight.  Deferred completion
-events validate by object identity against the device's single
-in-flight record — a postponed or cancelled attempt leaves its old
-event to die stale in the heap.
+Attempt lifecycle
+-----------------
+Every attempt is drawn at dispatch but *applied* at its completion
+cycle: the breaker verdict, the health window, the retry requeue, the
+result and the trace spans all wait for the attempt's
+``DISPATCH_COMPLETE`` event.  So no placement ever sees an outcome
+from a later simulated cycle, and crashes, hangs and hedge races can
+intervene mid-flight.  Completion events validate by object identity
+against the device's single in-flight record — a postponed or
+cancelled attempt leaves its old event to die stale in the heap.
 """
 
 from __future__ import annotations
@@ -119,9 +116,8 @@ class SchedulerConfig:
     #: Hedged-dispatch threshold: once a solo attempt has been in
     #: flight for ``hedge_after ×`` the workload's golden nominal
     #: cycles, launch one speculative duplicate on a healthy untried
-    #: device.  ``None`` disables hedging (and, absent chaos, keeps
-    #: the scheduler on its eager dispatch-time path).  Batched
-    #: dispatches never hedge.
+    #: device.  ``None`` disables hedging.  Batched dispatches never
+    #: hedge.
     hedge_after: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -148,17 +144,14 @@ class SchedulerConfig:
 class _JobState:
     """Mutable scheduling state for one admitted job."""
 
-    __slots__ = ("job", "ready", "attempts", "tried", "flights",
-                 "hedge_event")
+    __slots__ = ("job", "attempts", "tried", "flights", "hedge_event")
 
     def __init__(self, job: Job) -> None:
         self.job = job
-        #: Earliest cycle the job may next be dispatched.
-        self.ready = job.arrival_cycle
         self.attempts = 0
         self.tried: Set[int] = set()
-        #: Live in-flight attempts (lifecycle mode): one normally, two
-        #: while a hedge race is on, empty while queued.
+        #: Live in-flight attempts: one normally, two while a hedge
+        #: race is on, empty while queued.
         self.flights: List["_Flight"] = []
         #: The job's current HEDGE_TIMER event; identity-checked on
         #: pop, so a requeue-then-redispatch strands the old timer.
@@ -170,10 +163,10 @@ class _JobState:
 
 
 class _Flight:
-    """One deferred in-flight attempt (lifecycle mode only).
+    """One in-flight attempt.
 
-    The outcome ``att`` is drawn at dispatch — device fault streams
-    stay bit-identical to eager mode — but nothing is *applied* until
+    The outcome ``att`` is drawn at dispatch, so each device's fault
+    stream advances in dispatch order, but nothing is *applied* until
     the flight's ``DISPATCH_COMPLETE`` event is consumed, so a crash
     can void it, a hang can stretch it, and a hedge twin can beat it.
     """
@@ -221,7 +214,6 @@ class Scheduler:
 
     def __init__(self, pool: DevicePool,
                  config: Optional[SchedulerConfig] = None,
-                 lifecycle: bool = False,
                  autoscale: Optional[AutoscaleConfig] = None) -> None:
         self.pool = pool
         self.config = config or SchedulerConfig()
@@ -247,21 +239,12 @@ class Scheduler:
         #: The run's event heap (rebuilt per :meth:`run`); kept on the
         #: instance so tests and load benchmarks can read its counters.
         self.events = EventQueue()
-        #: Whether attempts defer finalisation to DISPATCH_COMPLETE.
-        #: False runs the exact historical eager path — the chaos-free
-        #: identity guarantee depends on this staying False when
-        #: neither chaos nor hedging is configured.  The fleet passes
-        #: ``lifecycle=True`` when pool-level chaos may strike: an
-        #: outage can only void an attempt that is still *deferred*.
-        self._lifecycle = (self.pool.chaos is not None
-                           or self.config.hedge_after is not None
-                           or lifecycle)
         #: Admitted-job states by id (HEDGE_TIMER lookups).
         self._states: Dict[int, _JobState] = {}
         #: Each device's pending (not yet fully applied) incident.
         self._incidents: Dict[int, object] = {}
-        #: Live deferred flights — the run loop must not exit while
-        #: any remain, even with the queues drained.
+        #: Live flights — the run loop must not exit while any remain,
+        #: even with the queues drained.
         self._inflight = 0
         # ---- resumable-session state (populated by :meth:`start`)
         self._arrivals: deque = deque()
@@ -572,7 +555,7 @@ class Scheduler:
         device = next((d for d in self.pool.devices
                        if not d.retired and not d.draining),
                       self.pool.devices[0])
-        att = device.attempt(job, self.pool, now=now, record=False)
+        att = device.attempt(job, self.pool, now=now)
         finish = now + att.cycles
         device.busy_cycles += att.cycles
         device.busy_until = max(device.busy_until, finish)
@@ -623,16 +606,9 @@ class Scheduler:
         if kind == EventKind.ARRIVAL:
             return True
         if kind == EventKind.DISPATCH_COMPLETE:
-            if not self._lifecycle:
-                # Pushed at dispatch with the device's busy_until; a
-                # device is never redispatched before it completes, so
-                # each completion event matches exactly one real
-                # transition.
-                return True
-            # Deferred completions validate by identity: a hang
-            # replaces the flight's event, a crash or hedge
-            # cancellation removes the flight entirely, and the
-            # superseded event must die stale.
+            # Completions validate by identity: a hang replaces the
+            # flight's event, a crash or hedge cancellation removes the
+            # flight entirely, and the superseded event must die stale.
             flight = self.pool.devices[event.key].inflight
             return (flight is not None
                     and flight.complete_event is event)
@@ -656,14 +632,14 @@ class Scheduler:
             # and every DEVICE_ADD lands exactly once — never stale.
             return True
         if kind == EventKind.DEVICE_DRAIN:
-            # Identity-validated like deferred completions: a drain
-            # re-armed past in-flight work strands its old event.
+            # Identity-validated like completions: a drain re-armed
+            # past in-flight work strands its old event.
             device = self.pool.devices[event.key]
             return (device.draining and not device.retired
                     and device.drain_event is event)
-        # RETRY_READY / DEADLINE_EXPIRY concern a job that must still
-        # be in flight (admitted, no terminal result yet, not handed
-        # back to the fleet by a pool outage).
+        # DEADLINE_EXPIRY concerns a job that must still be live
+        # (admitted, no terminal result yet, not handed back to the
+        # fleet by a pool outage).
         return (event.key not in results
                 and event.key not in self._evicted_ids)
 
@@ -685,16 +661,9 @@ class Scheduler:
         """Drain every event coincident with ``wake`` and apply the
         ones with their own effect.
 
-        Most events only *wake* the engine — the dispatch pass that
-        follows reads live state and does the work.  The exception is
-        ``DEADLINE_EXPIRY`` for a job whose retry-ready cycle lies
-        strictly beyond its deadline: that job cannot be dispatched at
-        the deadline cycle (or ever before it), so it is finalised
-        ``TIMEOUT`` here, *at* the deadline — the scan-based engine
-        left it pending until its retry became ready and then stamped
-        the inflated cycle on it.
-
-        In lifecycle mode the completion, chaos and hedge events also
+        Arrivals, breaker reopens and deadline expiries only *wake* the
+        engine — the dispatch pass that follows reads live state and
+        does the work.  Completion, chaos, hedge and autoscale events
         carry their own effect, applied here in the documented
         coincident order (kind, then key): a job completing the cycle
         its device crashes completes *before* the crash voids
@@ -712,42 +681,6 @@ class Scheduler:
             pending.append(events.pop())
         for event in pending:
             kind = event.kind
-            if kind == EventKind.DEADLINE_EXPIRY:
-                state = next((s for s in waiting
-                              if s.job.job_id == event.key), None)
-                if state is None or state.ready <= now:
-                    # Dispatchable at its deadline cycle: the
-                    # strict-`>` boundary rule lets it still be placed
-                    # this wake.
-                    continue
-                waiting.remove(state)
-                self._finalize_timeout(state, now, results)
-                continue
-            # Autoscale events carry their own effect in *both* loop
-            # modes — elasticity is orthogonal to chaos/hedging.
-            if kind == EventKind.SCALE_EVAL:
-                self._scale_eval(now)
-                continue
-            if kind == EventKind.DEVICE_ADD:
-                self._apply_device_add(now)
-                continue
-            if kind == EventKind.DEVICE_DRAIN:
-                device = self.pool.devices[event.key]
-                if (device.draining and not device.retired
-                        and device.drain_event is event):
-                    if device.busy_until > now:
-                        # Still finishing work (a probe or hang pushed
-                        # its horizon out): re-arm at the new horizon.
-                        device.drain_event = events.push(
-                            device.busy_until, EventKind.DEVICE_DRAIN,
-                            device.device_id)
-                    else:
-                        self._retire(device, now)
-                elif event is not wake:
-                    events.mark_stale()
-                continue
-            if not self._lifecycle:
-                continue  # every other kind is a pure wake
             if kind == EventKind.DISPATCH_COMPLETE:
                 flight = self.pool.devices[event.key].inflight
                 if flight is not None and flight.complete_event is event:
@@ -764,6 +697,24 @@ class Scheduler:
             elif kind == EventKind.HEDGE_TIMER:
                 if self._valid(event, now, results):
                     self._launch_hedge(self._states[event.key], now)
+                elif event is not wake:
+                    events.mark_stale()
+            elif kind == EventKind.SCALE_EVAL:
+                self._scale_eval(now)
+            elif kind == EventKind.DEVICE_ADD:
+                self._apply_device_add(now)
+            elif kind == EventKind.DEVICE_DRAIN:
+                device = self.pool.devices[event.key]
+                if (device.draining and not device.retired
+                        and device.drain_event is event):
+                    if device.busy_until > now:
+                        # Still finishing work (a probe or hang pushed
+                        # its horizon out): re-arm at the new horizon.
+                        device.drain_event = events.push(
+                            device.busy_until, EventKind.DEVICE_DRAIN,
+                            device.device_id)
+                    else:
+                        self._retire(device, now)
                 elif event is not wake:
                     events.mark_stale()
 
@@ -824,11 +775,11 @@ class Scheduler:
         """
         progressed = False
         while True:
-            eligible = [s for s in waiting if s.ready <= now]
-            if not eligible:
+            if not waiting:
                 return progressed
             # Deterministic service order: priority desc, then FIFO.
-            eligible.sort(key=lambda s: (-s.job.priority, s.job.job_id))
+            eligible = sorted(
+                waiting, key=lambda s: (-s.job.priority, s.job.job_id))
 
             # 1. Expire deadlines of queued jobs before placing work.
             # Strictly past the deadline only: a job whose deadline
@@ -879,10 +830,9 @@ class Scheduler:
                 for member in batch:
                     waiting.remove(member)
                 if len(batch) == 1:
-                    self._execute(state, device, now, waiting, results)
+                    self._execute(state, device, now, results)
                 else:
-                    self._execute_batch(batch, device, now, waiting,
-                                        results)
+                    self._execute_batch(batch, device, now, results)
                 placed = True
                 progressed = True
                 break
@@ -933,15 +883,13 @@ class Scheduler:
     # Attempt execution and finalisation
     # ------------------------------------------------------------------
     def _execute(self, state: _JobState, device: Device, now: float,
-                 waiting: List[_JobState],
                  results: Dict[int, JobResult]) -> None:
         job = state.job
         state.attempts += 1
         state.tried.add(device.device_id)
         device.breaker.on_dispatch(now)
         try:
-            att = device.attempt(job, self.pool, now=now,
-                                 record=not self._lifecycle)
+            att = device.attempt(job, self.pool, now=now)
         except ReproError as exc:
             # Not a device fault — the job itself is unserviceable
             # (unknown dataset/kernel, bad config).  No retry can help.
@@ -957,53 +905,12 @@ class Scheduler:
                 finish_cycle=now,
                 error=f"{type(exc).__name__}: {exc}")
             return
-        finish = now + att.cycles
-        device.busy_until = finish
-        device.busy_cycles += att.cycles
-        event = self.events.push(finish, EventKind.DISPATCH_COMPLETE,
-                                 device.device_id)
-        if self._lifecycle:
-            # Defer everything — breaker verdict, result, spans — to
-            # the completion event, so chaos and hedging can intervene
-            # while the attempt is in flight.
-            self._register_flight([state], att, device, now, finish,
-                                  hedge=False, event=event)
-            if self.config.hedge_after is not None and len(self.pool) > 1:
-                hedge_at = (now + self.config.hedge_after
-                            * self.pool.nominal_cycles(job))
-                state.hedge_event = self.events.push(
-                    hedge_at, EventKind.HEDGE_TIMER, job.job_id)
-            return
-
-        if att.ok:
-            device.breaker.on_success()
-            latency = finish - job.arrival_cycle
-            if latency > job.deadline_cycles:
-                status, error = JobStatus.TIMEOUT, (
-                    f"completed {latency - job.deadline_cycles:.0f} "
-                    f"cycles past deadline")
-            else:
-                status, error = JobStatus.OK, ""
-            results[job.job_id] = JobResult(
-                job_id=job.job_id, status=status,
-                device_id=device.device_id, attempts=state.attempts,
-                latency_cycles=latency, finish_cycle=finish,
-                value_crc=(value_crc(att.values)
-                           if att.values is not None else 0),
-                error=error)
-            return
-
-        # Device fault: feed the breaker, then retry elsewhere or
-        # degrade.  The breaker opens at the dispatch cycle so its
-        # cooldown is measured purely in simulated time.
-        self._on_attempt_failure(device, now)
-        exhausted = (state.attempts >= self.config.max_attempts
-                     or self.pool.untried_targets(state.tried) == 0)
-        if exhausted:
-            self._degrade(state, finish, results, last_error=att.error,
-                          device_id=device.device_id)
-        else:
-            self._requeue(state, finish, waiting)
+        self._register_flight([state], att, device, now, hedge=False)
+        if self.config.hedge_after is not None and len(self.pool) > 1:
+            hedge_at = (now + self.config.hedge_after
+                        * self.pool.nominal_cycles(job))
+            state.hedge_event = self.events.push(
+                hedge_at, EventKind.HEDGE_TIMER, job.job_id)
 
     def _on_attempt_failure(self, device: Device, now: float) -> None:
         """Feed the breaker; if this failure tripped it, schedule the
@@ -1014,18 +921,14 @@ class Scheduler:
             self.events.push(reopen, EventKind.BREAKER_REOPEN,
                              device.device_id)
 
-    def _requeue(self, state: _JobState, ready: float,
-                 waiting: List[_JobState]) -> None:
-        """Put a faulted job back in the queue, dispatchable at
-        ``ready`` (the cycle its failed attempt released the device)."""
-        state.ready = ready
+    def _requeue(self, state: _JobState, waiting: List[_JobState]) -> None:
+        """Put a faulted or voided job back in the queue; the dispatch
+        pass of the current cycle may place it at once."""
         waiting.append(state)
         self.queue_peak = max(self.queue_peak, len(waiting))
-        self.events.push(ready, EventKind.RETRY_READY, state.job.job_id)
 
     def _execute_batch(self, states: List[_JobState], device: Device,
-                       now: float, waiting: List[_JobState],
-                       results: Dict[int, JobResult]) -> None:
+                       now: float, results: Dict[int, JobResult]) -> None:
         """One fused multi-RHS attempt; per-job outcomes split out.
 
         The breaker sees the batch as a single dispatch/outcome — one
@@ -1040,8 +943,7 @@ class Scheduler:
             s.tried.add(device.device_id)
         device.breaker.on_dispatch(now)
         try:
-            att = device.attempt_batch(jobs, self.pool, now=now,
-                                       record=not self._lifecycle)
+            att = device.attempt_batch(jobs, self.pool, now=now)
         except ReproError as exc:
             # Same rationale as the solo path: unserviceable work, not
             # a device verdict — release a claimed probe.
@@ -1053,63 +955,24 @@ class Scheduler:
                     finish_cycle=now,
                     error=f"{type(exc).__name__}: {exc}")
             return
-        finish = now + att.cycles
+        # Batched flights never hedge — one speculative duplicate of a
+        # k-wide panel would double the panel's stream cost for one
+        # straggler's tail.
+        self._register_flight(list(states), att, device, now, hedge=False)
+
+    # ------------------------------------------------------------------
+    # Flights, hedging, chaos
+    # ------------------------------------------------------------------
+    def _register_flight(self, states: List[_JobState], att,
+                         device: Device, start: float,
+                         hedge: bool) -> None:
+        """Occupy the device for the drawn attempt and push its
+        ``DISPATCH_COMPLETE``; everything else waits for that event."""
+        finish = start + att.cycles
         device.busy_until = finish
         device.busy_cycles += att.cycles
         event = self.events.push(finish, EventKind.DISPATCH_COMPLETE,
                                  device.device_id)
-        if self._lifecycle:
-            # Batched flights never hedge — one speculative duplicate
-            # of a k-wide panel would double the panel's stream cost
-            # for one straggler's tail.
-            self._register_flight(list(states), att, device, now,
-                                  finish, hedge=False, event=event)
-            return
-
-        if att.ok:
-            device.breaker.on_success()
-            self.batches += 1
-            self.batched_jobs += len(jobs)
-            solo_bytes = self.pool.nominal_dram_bytes(jobs[0])
-            self.stream_bytes_saved += max(
-                0.0, solo_bytes * len(jobs) - att.dram_bytes)
-            for col, s in enumerate(states):
-                job = s.job
-                latency = finish - job.arrival_cycle
-                if latency > job.deadline_cycles:
-                    status, error = JobStatus.TIMEOUT, (
-                        f"completed {latency - job.deadline_cycles:.0f} "
-                        f"cycles past deadline")
-                else:
-                    status, error = JobStatus.OK, ""
-                results[job.job_id] = JobResult(
-                    job_id=job.job_id, status=status,
-                    device_id=device.device_id, attempts=s.attempts,
-                    latency_cycles=latency, finish_cycle=finish,
-                    value_crc=(value_crc(att.values[:, col])
-                               if att.values is not None else 0),
-                    batch_size=len(jobs), error=error)
-            return
-
-        # One shared payload stream faulted on the whole batch: one
-        # breaker outcome, every member retried or degraded on its own
-        # attempt budget.
-        self._on_attempt_failure(device, now)
-        for s in states:
-            exhausted = (s.attempts >= self.config.max_attempts
-                         or self.pool.untried_targets(s.tried) == 0)
-            if exhausted:
-                self._degrade(s, finish, results, last_error=att.error,
-                              device_id=device.device_id)
-            else:
-                self._requeue(s, finish, waiting)
-
-    # ------------------------------------------------------------------
-    # Lifecycle mode: deferred flights, hedging, chaos
-    # ------------------------------------------------------------------
-    def _register_flight(self, states: List[_JobState], att,
-                         device: Device, start: float, finish: float,
-                         hedge: bool, event: Event) -> None:
         flight = _Flight(states, att, device, start, finish, hedge,
                          event)
         device.inflight = flight
@@ -1120,7 +983,7 @@ class Scheduler:
     def _complete(self, flight: _Flight, now: float,
                   waiting: List[_JobState],
                   results: Dict[int, JobResult]) -> None:
-        """Apply a deferred attempt's outcome at its completion cycle.
+        """Apply an attempt's outcome at its completion cycle.
 
         The breaker is fed *here* — at the cycle the verdict exists —
         and the trace spans are recorded at the flight's true interval
@@ -1194,7 +1057,7 @@ class Scheduler:
                 self._degrade(s, now, results, last_error=att.error,
                               device_id=device.device_id)
             else:
-                self._requeue(s, now, waiting)
+                self._requeue(s, waiting)
 
     def _cancel_flight(self, flight: _Flight, now: float) -> None:
         """Cancel a hedge loser: trim its device to the cycles actually
@@ -1241,7 +1104,7 @@ class Scheduler:
         state.tried.add(device.device_id)
         device.breaker.on_dispatch(now)
         try:
-            att = device.attempt(job, self.pool, now=now, record=False)
+            att = device.attempt(job, self.pool, now=now)
         except ReproError:
             # The primary dispatched the same job fine, so this is
             # unreachable in practice; refund the slot rather than
@@ -1250,13 +1113,7 @@ class Scheduler:
             state.attempts -= 1
             state.tried.discard(device.device_id)
             return
-        finish = now + att.cycles
-        device.busy_until = finish
-        device.busy_cycles += att.cycles
-        event = self.events.push(finish, EventKind.DISPATCH_COMPLETE,
-                                 device.device_id)
-        self._register_flight([state], att, device, now, finish,
-                              hedge=True, event=event)
+        self._register_flight([state], att, device, now, hedge=True)
         self.hedges_launched += 1
         if self.pool.tracer is not None:
             self.pool.tracer.instant_event(
@@ -1324,7 +1181,7 @@ class Scheduler:
             s.attempts -= 1
             s.tried.discard(device.device_id)
             if not s.flights and s.job.job_id not in results:
-                self._requeue(s, now, waiting)
+                self._requeue(s, waiting)
 
     def _apply_hang(self, device: Device, now: float) -> None:
         """The device stalls until the incident clears.
@@ -1471,9 +1328,9 @@ class Scheduler:
         """Begin drain-before-remove on a scale-down target.
 
         The device takes no new placements from this cycle on
-        (``available`` is False while draining); in-flight work — the
-        eager mode's busy horizon or a deferred flight — finishes
-        first, then the DEVICE_DRAIN retires it.  An idle target
+        (``available`` is False while draining); in-flight work — a
+        flight or a recovery probe — finishes first, then the
+        DEVICE_DRAIN retires it.  An idle target
         retires immediately.
         """
         device.draining = True
@@ -1512,9 +1369,12 @@ class Scheduler:
     def _finalize_timeout(self, state: _JobState, now: float,
                           results: Dict[int, JobResult]) -> None:
         job = state.job
+        n = state.attempts
+        when = (f"after {n} failed attempt{'s' if n > 1 else ''}" if n
+                else "before execution")
         err = DeadlineError(
             f"job {job.job_id}: deadline of {job.deadline_cycles:.0f} "
-            f"cycles expired at cycle {now:.0f} before execution")
+            f"cycles expired at cycle {now:.0f} {when}")
         results[job.job_id] = JobResult(
             job_id=job.job_id, status=JobStatus.TIMEOUT,
             attempts=state.attempts,

@@ -6,10 +6,12 @@ Run from the repo root::
 
 Writes ``tests/data/poolreport_fingerprints.json``: one canonical
 PoolReport dict per (seed, devices, fault_rate) combination, captured
-with chaos disabled and hedging off.  The corpus pins the guarantee
-that the device-lifecycle chaos layer is inert when not configured —
-a chaos-free serve run must stay field-identical to the scheduler
-that predates the chaos engine.
+with chaos disabled and hedging off.  The corpus pins the chaos-free
+reports of the one scheduler loop, in which every attempt's outcome is
+applied at its completion cycle: any change to retries, breaker trips,
+degradations or latencies on these runs shows up field by field.
+Regenerate only alongside a deliberate behaviour change, and summarise
+the field-level diff in CHANGES.md.
 
 Only fields present at capture time are stored, so counters added by
 later PRs (with zero defaults) do not invalidate the corpus.

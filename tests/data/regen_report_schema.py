@@ -10,7 +10,9 @@ Writes ``tests/data/report_schema_golden.json``:
   :class:`DeviceStats`, :class:`FleetReport` and :class:`PoolStats`
   (sorted dataclass field names — exactly what ``report_json`` /
   ``fleet_report_json`` emit), and
-* one full model-execution :class:`FleetReport` snapshot.
+* one full model-execution :class:`FleetReport` snapshot, served by
+  the one scheduler loop (every attempt applied at its completion
+  cycle).
 
 Schema drift — a field added, removed or renamed — fails the golden
 test the same way trace-schema drift fails ``test_trace_schema``.

@@ -2,11 +2,10 @@
 
 Three contracts pinned here:
 
-1. **Inert when off** — chaos-free, hedge-free serving is
-   field-identical to the pre-chaos scheduler.  A 90-case fingerprint
-   corpus (``tests/data/poolreport_fingerprints.json``, captured from
-   the tree before the chaos layer landed) is replayed and compared
-   field-for-field.
+1. **Inert when off** — chaos-free, hedge-free serving draws no
+   incidents and launches no hedges.  A 90-case fingerprint corpus
+   (``tests/data/poolreport_fingerprints.json``, captured from the
+   one-loop scheduler) is replayed and compared field-for-field.
 
 2. **Survival under storm** — with tight incident gaps every job still
    reaches a terminal status, nothing FAILs from infrastructure loss
@@ -61,7 +60,7 @@ def storm_serve(seed, *, chaos=None, hedge_after=None, tracer=None,
 
 
 # ----------------------------------------------------------------------
-# 1. Inertness: chaos off == the pre-chaos scheduler, field for field
+# 1. Inertness: chaos off matches the pinned corpus, field for field
 # ----------------------------------------------------------------------
 class TestChaosFreeIdentity:
     def test_fingerprint_corpus(self):
@@ -85,20 +84,9 @@ class TestChaosFreeIdentity:
                 else:
                     assert got[key] == expect, f"{entry['case']}: {key}"
 
-    def test_eager_path_without_chaos_or_hedge(self):
-        pool = DevicePool(2, fault_rate=0.0, seed=0)
-        assert Scheduler(pool)._lifecycle is False
-        pool2 = DevicePool(2, fault_rate=0.0, seed=0,
-                           chaos=storm(0))
-        assert Scheduler(pool2)._lifecycle is True
-        pool3 = DevicePool(2, fault_rate=0.0, seed=0)
-        sched = Scheduler(pool3, SchedulerConfig(hedge_after=2.0))
-        assert sched._lifecycle is True
-
     def test_zero_rate_chaos_is_dropped_by_pool(self):
         pool = DevicePool(2, seed=0, chaos=ChaosModel(rate=0.0))
         assert pool.chaos is None
-        assert Scheduler(pool)._lifecycle is False
 
     def test_new_counters_zero_when_off(self):
         _, rep = storm_serve(3)

@@ -346,13 +346,15 @@ class TestServeEntryPoint:
 class TestDeadlineAccountingRegressions:
     """Fail-before/pass-after pins on the event-engine bug fixes."""
 
-    def test_requeued_job_finalized_at_deadline_cycle(self):
-        # Fault-then-wait: the job faults on device 0 and is requeued
-        # with ready = finish, but its deadline expires *before* the
-        # retry becomes ready.  The scan-based engine only revisited it
-        # when ready arrived, stamping finish_cycle/latency past the
-        # deadline; the deadline-expiry event finalises it at the
-        # deadline cycle itself.
+    def test_faulted_job_timeout_at_finish(self):
+        # Fault-then-expire: the job faults on device 0, and its
+        # deadline lands *inside* the faulted attempt.  The fault is
+        # not known before the attempt completes, so the scheduler may
+        # not act on it earlier: the job is finalised TIMEOUT at the
+        # attempt's completion cycle — the first cycle its deadline
+        # can be judged missed — not back-dated to the deadline.  (An
+        # earlier scheduler applied the fault at dispatch and stamped
+        # the deadline cycle; that used information from the future.)
         pool = DevicePool(2, fault_rate=0.0, seed=0)
         pool.devices[0].fault_model = FaultModel(
             rate=1.0, seed=5, persistent=True)
@@ -361,12 +363,19 @@ class TestDeadlineAccountingRegressions:
         results, report = Scheduler(pool, SchedulerConfig()).run(
             [job(0, arrival=0.0, deadline=deadline)])
         r = results[0]
+        faulted_finish = pool.devices[0].busy_cycles  # the one attempt
+        assert faulted_finish > deadline
         assert r.status is JobStatus.TIMEOUT
         assert r.attempts == 1  # the faulted attempt was consumed
         assert r.value_crc == 0  # no answer was ever produced
-        assert r.finish_cycle == deadline  # not the retry-ready cycle
-        assert r.latency_cycles == deadline
-        assert report.makespan_cycles == deadline
+        assert r.finish_cycle == faulted_finish
+        assert r.latency_cycles == faulted_finish
+        assert report.makespan_cycles == faulted_finish
+        # The text names the attempt it consumed, not "before
+        # execution".
+        assert r.error == (
+            f"job 0: deadline of {deadline:.0f} cycles expired at cycle "
+            f"{faulted_finish:.0f} after 1 failed attempt")
 
     def test_requeued_job_with_slack_still_retries(self):
         # Control for the fix: a requeued job whose deadline has slack
@@ -420,6 +429,35 @@ class TestDeadlineAccountingRegressions:
         assert results[0].status is JobStatus.DEGRADED
         assert results[0].value_crc == crc
         assert report.degraded == 1 and report.timeout == 0
+
+
+class TestCausality:
+    """No decision may use an outcome from a later simulated cycle."""
+
+    def test_breaker_verdict_waits_for_attempt_completion(self):
+        # One persistently faulty device whose breaker trips on its
+        # first failure.  Job 0's attempt is in flight when job 1
+        # arrives; the fault — and so the open breaker — exists only
+        # once that attempt completes.  Job 1 must therefore wait for
+        # the completion before being shed to the reference path, not
+        # be shed at its arrival cycle on a verdict not yet reached.
+        pool = DevicePool(1, seed=0, execution="model", min_samples=1)
+        pool.devices[0].fault_model = FaultModel(
+            rate=1.0, seed=5, persistent=True)
+        nominal = pool.nominal_cycles(job(0))
+        reference = nominal * SchedulerConfig().reference_slowdown
+        results, report = Scheduler(pool, SchedulerConfig()).run(
+            [job(0, deadline=1e7), job(1, arrival=nominal / 4,
+                                       deadline=1e7)])
+        first, second = results
+        assert first.status is JobStatus.DEGRADED
+        assert second.status is JobStatus.DEGRADED
+        assert second.attempts == 0  # never placed on the sick device
+        completion = pool.devices[0].busy_cycles  # job 0's one attempt
+        assert completion > nominal / 4  # still in flight at arrival
+        assert first.finish_cycle == completion + reference
+        assert second.finish_cycle >= completion + reference
+        assert report.breaker_trips == 1
 
 
 class TestDuplicateJobIds:
