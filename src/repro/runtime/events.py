@@ -13,11 +13,6 @@ Event vocabulary (:class:`EventKind`):
     A job enters the system at its ``arrival_cycle``.
 ``DISPATCH_COMPLETE``
     A device finishes the attempt it is running (its ``busy_until``).
-``RETRY_READY``
-    Reserved.  The scheduler no longer pushes it: a faulted job is
-    requeued at the cycle its attempt completes, and the dispatch pass
-    of that same wake can place it.  The kind keeps its value so every
-    other kind's coincident order is unchanged.
 ``BREAKER_REOPEN``
     An open circuit breaker finishes its cooldown and may be probed.
 ``DEADLINE_EXPIRY``
@@ -104,7 +99,8 @@ class EventKind(enum.IntEnum):
 
     ARRIVAL = 0
     DISPATCH_COMPLETE = 1
-    RETRY_READY = 2
+    # 2 is unused: a retired kind's value, left out so that no other
+    # kind's value changes.
     BREAKER_REOPEN = 3
     DEADLINE_EXPIRY = 4
     DEVICE_CRASH = 5
@@ -170,6 +166,16 @@ class EventQueue:
     def peek(self) -> Optional[Event]:
         """The earliest event without removing it (None when empty)."""
         return self._heap[0] if self._heap else None
+
+    def pop_at(self, cycle: float) -> List[Event]:
+        """Remove and return every event at exactly ``cycle``, in
+        order (empty when the earliest event is later)."""
+        heap = self._heap
+        out = []
+        while heap and heap[0].cycle == cycle:
+            out.append(heapq.heappop(heap))
+        self.popped += len(out)
+        return out
 
     def requeue(self, event: Event) -> None:
         """Put a popped-but-unconsumed event back on the heap.

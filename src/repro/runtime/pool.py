@@ -176,7 +176,7 @@ class CircuitBreaker:
         Pure: an open breaker past its cooldown *reports* the probe
         slot as available, but the open → half-open transition happens
         only in :meth:`on_dispatch` — metric and introspection queries
-        (e.g. :meth:`DevicePool.open_breakers`) never change state.
+        (e.g. :meth:`DevicePool.all_refusing`) never change state.
         """
         if self.quarantined:
             return False
@@ -429,14 +429,13 @@ class Device:
         self.jobs_run += 1
         if self.first_dispatch is None:
             self.first_dispatch = now
-        cycles = pool.nominal_cycles(job)
+        cycles, dram_bytes = pool.nominal(job)
         if self._model_fault(pool):
             fm = self.fault_model
             wasted = cycles + fm.backoff_cycles * (2 ** fm.max_retries - 1)
             return Attempt(ok=False, cycles=wasted,
                            error="FaultError: modelled stream fault")
-        return Attempt(ok=True, cycles=cycles,
-                       dram_bytes=pool.nominal_dram_bytes(job))
+        return Attempt(ok=True, cycles=cycles, dram_bytes=dram_bytes)
 
     def _attempt_model_batch(self, jobs: "List[Job]", pool: "DevicePool",
                              now: float) -> Attempt:
@@ -652,8 +651,10 @@ class DevicePool:
         if self.chaos is not None:
             for i, device in enumerate(self.devices):
                 device.chaos = self.chaos.spawn(i)
-        self._nominal: Dict[Tuple[str, float, str], float] = {}
-        self._nominal_bytes: Dict[Tuple[str, float, str], float] = {}
+        #: Fault-free ``(cycles, dram_bytes)`` of one solo attempt per
+        #: ``(dataset, scale, kernel)`` — see :meth:`nominal`.
+        self._nominal: Dict[Tuple[str, float, str],
+                            Tuple[float, float]] = {}
         self._nominal_batch: Dict[Tuple[str, float, str, int], float] = {}
         #: Bounded LRU of seeded operand vectors, keyed like the
         #: nominal caches plus the job seed — see :meth:`operand`.
@@ -777,19 +778,24 @@ class DevicePool:
             self._operands.popitem(last=False)
         return values
 
-    def nominal_cycles(self, job: Job) -> float:
-        """Fault-free service cycles for the job's workload (cached).
+    def nominal(self, job: Job) -> Tuple[float, float]:
+        """Fault-free ``(cycles, dram_bytes)`` of one solo attempt of
+        the job's workload (cached).
 
-        Cycle counts depend only on the programmed block structure,
-        never on operand values, so one golden run prices every job of
-        the same ``(dataset, scale, kernel)``.
+        Cycle counts and traffic depend only on the programmed block
+        structure, never on operand values, so one golden run prices
+        every job of the same ``(dataset, scale, kernel)``.
         """
         key = (job.dataset, job.scale, job.kernel)
-        if key not in self._nominal:
+        price = self._nominal.get(key)
+        if price is None:
             att = self._golden.attempt(job, self)
-            self._nominal[key] = att.cycles
-            self._nominal_bytes[key] = att.dram_bytes
-        return self._nominal[key]
+            price = self._nominal[key] = (att.cycles, att.dram_bytes)
+        return price
+
+    def nominal_cycles(self, job: Job) -> float:
+        """Fault-free service cycles for the job's workload (cached)."""
+        return self.nominal(job)[0]
 
     def nominal_dram_bytes(self, job: Job) -> float:
         """Fault-free DRAM traffic of one solo job attempt (cached).
@@ -798,10 +804,7 @@ class DevicePool:
         compares a fused batch against: ``k`` solo runs would each
         stream the programmed payload.
         """
-        key = (job.dataset, job.scale, job.kernel)
-        if key not in self._nominal_bytes:
-            self.nominal_cycles(job)
-        return self._nominal_bytes[key]
+        return self.nominal(job)[1]
 
     def nominal_batch_cycles(self, job: Job, k: int) -> float:
         """Fault-free service cycles of a ``k``-wide fused batch.
@@ -848,23 +851,18 @@ class DevicePool:
     def breaker_trips(self) -> int:
         return sum(d.breaker.trips for d in self.devices)
 
-    def open_breakers(self, now: float) -> int:
-        """Devices refusing traffic at ``now``."""
-        return sum(1 for d in self.devices if not d.breaker.allows(now))
+    def all_refusing(self, now: float) -> bool:
+        """Whether every device is out of service at ``now``: crashed,
+        breaker-open, or withdrawn by the autoscaler (draining devices
+        accept no new placements; retired ones never serve again).
 
-    def refusing(self, now: float) -> int:
-        """Devices out of service at ``now``: crashed, breaker-closed,
-        or withdrawn by the autoscaler (draining devices accept no new
-        placements; retired ones never serve again).
-
-        The total-outage degradation check in the scheduler.  A hanging
-        device is *busy*, not out of service — its queued work will
-        still run — so hangs do not count here; chaos- and
-        autoscale-free this is exactly :meth:`open_breakers`.
+        The scheduler's total-outage test; it stops at the first device
+        that could serve.  A hanging device is *busy*, not out of
+        service — its queued work will still run — so a hang does not
+        count as refusing.
         """
-        return sum(1 for d in self.devices
-                   if not d.up or d.retired or d.draining
-                   or not d.breaker.allows(now))
+        return not any(d.up and not d.retired and not d.draining
+                       and d.breaker.allows(now) for d in self.devices)
 
     def untried_targets(self, tried) -> int:
         """Devices a retry could still be placed on: not yet tried and

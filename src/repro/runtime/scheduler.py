@@ -75,6 +75,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -94,6 +95,22 @@ from repro.runtime.pool import (
     DevicePool,
     value_crc,
 )
+
+
+# ``Event.kind`` holds plain ints.  The per-event checks in
+# ``_valid``/``_consume_at`` compare against these int copies: looking
+# up an ``EventKind`` member goes through the enum metaclass and costs
+# several times the comparison it feeds.
+_ARRIVAL = int(EventKind.ARRIVAL)
+_DISPATCH_COMPLETE = int(EventKind.DISPATCH_COMPLETE)
+_BREAKER_REOPEN = int(EventKind.BREAKER_REOPEN)
+_DEVICE_CRASH = int(EventKind.DEVICE_CRASH)
+_DEVICE_HANG = int(EventKind.DEVICE_HANG)
+_DEVICE_RECOVER = int(EventKind.DEVICE_RECOVER)
+_HEDGE_TIMER = int(EventKind.HEDGE_TIMER)
+_SCALE_EVAL = int(EventKind.SCALE_EVAL)
+_DEVICE_ADD = int(EventKind.DEVICE_ADD)
+_DEVICE_DRAIN = int(EventKind.DEVICE_DRAIN)
 
 
 @dataclass(frozen=True)
@@ -144,10 +161,15 @@ class SchedulerConfig:
 class _JobState:
     """Mutable scheduling state for one admitted job."""
 
-    __slots__ = ("job", "attempts", "tried", "flights", "hedge_event")
+    __slots__ = ("job", "deadline_at", "order", "attempts", "tried",
+                 "flights", "hedge_event")
 
     def __init__(self, job: Job) -> None:
         self.job = job
+        #: Absolute deadline cycle.
+        self.deadline_at = job.arrival_cycle + job.deadline_cycles
+        #: Service-order key: priority desc, then FIFO by job id.
+        self.order = (-job.priority, job.job_id)
         self.attempts = 0
         self.tried: Set[int] = set()
         #: Live in-flight attempts: one normally, two while a hedge
@@ -157,9 +179,13 @@ class _JobState:
         #: pop, so a requeue-then-redispatch strands the old timer.
         self.hedge_event: Optional[Event] = None
 
-    @property
-    def deadline_at(self) -> float:
-        return self.job.arrival_cycle + self.job.deadline_cycles
+
+_service_order = attrgetter("order")
+
+
+def _least_loaded(device: Device) -> Tuple[float, int]:
+    """Placement key: least busy cycles, then lowest device id."""
+    return (device.busy_cycles, device.device_id)
 
 
 class _Flight:
@@ -385,8 +411,7 @@ class Scheduler:
         if not self.pending():
             return None
         if self._held is None:
-            self._held = self._next_wake(self._now, self._waiting,
-                                         self._results)
+            self._held = self._next_wake(self._now, self._results)
         if self._held is None:
             return self._now
         return self._held.cycle
@@ -396,8 +421,7 @@ class Scheduler:
         if not self.pending():
             return False
         if self._held is None:
-            self._held = self._next_wake(self._now, self._waiting,
-                                         self._results)
+            self._held = self._next_wake(self._now, self._results)
         wake, self._held = self._held, None
         if wake is None:
             # No future event can unblock the queue (should be
@@ -585,14 +609,13 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _step(self, now: float, arrivals, waiting: List[_JobState],
               results: Dict[int, JobResult]) -> None:
-        """One wake of the engine: admit everything due, then dispatch
-        until no further progress is possible at this cycle."""
+        """One wake of the engine: admit everything due, then one
+        dispatch pass."""
         while arrivals and arrivals[0].arrival_cycle <= now:
             self._admit_at(arrivals.popleft(), waiting, results)
         self._dispatch(now, waiting, results)
 
-    def _valid(self, event: Event, now: float,
-               results: Dict[int, JobResult]) -> bool:
+    def _valid(self, event: Event, results: Dict[int, JobResult]) -> bool:
         """Whether a popped event still describes live state.
 
         The heap is append-only (lazy deletion), so an event may
@@ -603,35 +626,34 @@ class Scheduler:
         event order does not define, shifting timeout finalisation.
         """
         kind = event.kind
-        if kind == EventKind.ARRIVAL:
+        if kind == _ARRIVAL:
             return True
-        if kind == EventKind.DISPATCH_COMPLETE:
+        if kind == _DISPATCH_COMPLETE:
             # Completions validate by identity: a hang replaces the
             # flight's event, a crash or hedge cancellation removes the
             # flight entirely, and the superseded event must die stale.
             flight = self.pool.devices[event.key].inflight
             return (flight is not None
                     and flight.complete_event is event)
-        if kind == EventKind.BREAKER_REOPEN:
+        if kind == _BREAKER_REOPEN:
             breaker = self.pool.devices[event.key].breaker
             return breaker.reopen_at == event.cycle
-        if kind in (EventKind.DEVICE_CRASH, EventKind.DEVICE_HANG,
-                    EventKind.DEVICE_RECOVER):
+        if kind in (_DEVICE_CRASH, _DEVICE_HANG, _DEVICE_RECOVER):
             # Each is pushed exactly once per incident and incidents
             # per device are strictly sequential — never stale.
             return True
-        if kind == EventKind.HEDGE_TIMER:
+        if kind == _HEDGE_TIMER:
             state = self._states.get(event.key)
             return (state is not None
                     and event.key not in results
                     and state.hedge_event is event
                     and len(state.flights) == 1
                     and not state.flights[0].hedge)
-        if kind in (EventKind.SCALE_EVAL, EventKind.DEVICE_ADD):
+        if kind in (_SCALE_EVAL, _DEVICE_ADD):
             # One SCALE_EVAL is live at a time (re-armed on consume)
             # and every DEVICE_ADD lands exactly once — never stale.
             return True
-        if kind == EventKind.DEVICE_DRAIN:
+        if kind == _DEVICE_DRAIN:
             # Identity-validated like completions: a drain re-armed
             # past in-flight work strands its old event.
             device = self.pool.devices[event.key]
@@ -643,16 +665,15 @@ class Scheduler:
         return (event.key not in results
                 and event.key not in self._evicted_ids)
 
-    def _next_wake(self, now: float, waiting: List[_JobState],
+    def _next_wake(self, now: float,
                    results: Dict[int, JobResult]) -> Optional[Event]:
         """Pop until the earliest strictly-future valid event."""
         events = self.events
         while events:
             event = events.pop()
-            if event.cycle <= now or not self._valid(event, now, results):
-                events.mark_stale()
-                continue
-            return event
+            if event.cycle > now and self._valid(event, results):
+                return event
+            events.mark_stale()
         return None
 
     def _consume_at(self, wake: Event, now: float,
@@ -672,38 +693,32 @@ class Scheduler:
         cancelled it (e.g. the primary finishing at the same cycle as
         its hedge twin) — and marked stale if so.
         """
-        pending = [wake]
         events = self.events
-        while events:
-            head = events.peek()
-            if head is None or head.cycle != now:
-                break
-            pending.append(events.pop())
-        for event in pending:
+        for event in (wake, *events.pop_at(now)):
             kind = event.kind
-            if kind == EventKind.DISPATCH_COMPLETE:
+            if kind == _DISPATCH_COMPLETE:
                 flight = self.pool.devices[event.key].inflight
                 if flight is not None and flight.complete_event is event:
                     self._complete(flight, now, waiting, results)
                 elif event is not wake:
                     events.mark_stale()
-            elif kind == EventKind.DEVICE_CRASH:
+            elif kind == _DEVICE_CRASH:
                 self._apply_crash(self.pool.devices[event.key], now,
                                   waiting, results)
-            elif kind == EventKind.DEVICE_HANG:
+            elif kind == _DEVICE_HANG:
                 self._apply_hang(self.pool.devices[event.key], now)
-            elif kind == EventKind.DEVICE_RECOVER:
+            elif kind == _DEVICE_RECOVER:
                 self._apply_recover(self.pool.devices[event.key], now)
-            elif kind == EventKind.HEDGE_TIMER:
-                if self._valid(event, now, results):
+            elif kind == _HEDGE_TIMER:
+                if self._valid(event, results):
                     self._launch_hedge(self._states[event.key], now)
                 elif event is not wake:
                     events.mark_stale()
-            elif kind == EventKind.SCALE_EVAL:
+            elif kind == _SCALE_EVAL:
                 self._scale_eval(now)
-            elif kind == EventKind.DEVICE_ADD:
+            elif kind == _DEVICE_ADD:
                 self._apply_device_add(now)
-            elif kind == EventKind.DEVICE_DRAIN:
+            elif kind == _DEVICE_DRAIN:
                 device = self.pool.devices[event.key]
                 if (device.draining and not device.retired
                         and device.drain_event is event):
@@ -767,80 +782,88 @@ class Scheduler:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, now: float, waiting: List[_JobState],
-                  results: Dict[int, JobResult]) -> bool:
-        """Place/finalise every job actionable at ``now``.
+                  results: Dict[int, JobResult]) -> None:
+        """Place or finalise every job actionable at ``now``, in one
+        pass.
 
-        Returns True when any progress was made (the caller re-enters
-        before advancing the clock).
+        Nothing this pass does can make another queued job actionable
+        later in the same cycle: a placement never moves a deadline,
+        never frees a device and never clears a tried set.  So expiry
+        runs once, and the queue is sorted once into service order and
+        kept in step as jobs leave it.
         """
-        progressed = False
-        while True:
-            if not waiting:
-                return progressed
-            # Deterministic service order: priority desc, then FIFO.
-            eligible = sorted(
-                waiting, key=lambda s: (-s.job.priority, s.job.job_id))
+        if not waiting:
+            return
+        # 1. Expire deadlines of queued jobs before placing work, in
+        # service order.  Strictly past the deadline only: a job whose
+        # deadline falls exactly on the current cycle may still be
+        # placed — the completion path uses the same strict comparison,
+        # so a job finishing exactly at its deadline is OK, not TIMEOUT.
+        expired = [s for s in waiting if now > s.deadline_at]
+        if expired:
+            expired.sort(key=_service_order)
+            for state in expired:
+                waiting.remove(state)
+                self._finalize_timeout(state, now, results)
 
-            # 1. Expire deadlines of queued jobs before placing work.
-            # Strictly past the deadline only: a job whose deadline
-            # falls exactly on the current cycle may still be placed —
-            # the completion path uses the same strict comparison, so a
-            # job finishing exactly at its deadline is OK, not TIMEOUT.
-            expired = [s for s in eligible if now > s.deadline_at]
-            if expired:
-                for state in expired:
-                    waiting.remove(state)
-                    self._finalize_timeout(state, now, results)
-                progressed = True
-                continue
+        free = self._free(now)
+        if not free and not self.pool.all_refusing(now):
+            return  # every serviceable device is busy
+        queue = sorted(waiting, key=_service_order)
 
-            # ``available`` folds the lifecycle state (crashed or
-            # hanging devices refuse) into the breaker gate; chaos-free
-            # it reduces to exactly the old ``breaker.allows``.
-            free = [d for d in self.pool.devices
-                    if d.busy_until <= now and d.available(now)]
+        # 2. Place the best job on the best untried free device, until
+        # no free device is left or no queued job can use one.  Free
+        # devices only ever leave ``free``, so a job skipped for lack
+        # of candidates stays skipped and the scan resumes at ``i``.
+        i = 0
+        while free:
+            for i in range(i, len(queue)):
+                state = queue[i]
+                tried = state.tried
+                candidates = ([d for d in free if d.device_id not in tried]
+                              if tried else free)
+                if candidates:
+                    break
+            else:
+                return
+            # Least-loaded routing, id tie-break.  Deliberately
+            # health-blind: the breaker is the health gate, and biasing
+            # placement away from a shaky-but-closed device would
+            # starve its window below min_samples so it could never
+            # actually trip.
+            device = min(candidates, key=_least_loaded)
+            batch = self._coalesce(state, device, queue, now)
+            for member in batch:
+                waiting.remove(member)
+                queue.remove(member)
+            if len(batch) == 1:
+                self._execute(state, device, now, results)
+            else:
+                self._execute_batch(batch, device, now, results)
+            free = self._free(now)
 
-            # 2. Total outage: every device is out of service (crashed
-            # or breaker-open) — shed the head-of-line job to the
-            # reference path immediately instead of queueing against a
-            # pool that is entirely sick.  A hanging device does not
-            # count: its queued work will still run.
-            if not free and self.pool.refusing(now) == len(self.pool):
-                state = eligible[0]
+        # 3. Total outage: every device is out of service (crashed,
+        # breaker-open or withdrawn) — shed the queue head-of-line to
+        # the reference path instead of queueing against a pool that
+        # is entirely sick.  A hanging device does not count: its
+        # queued work will still run.
+        if queue and self.pool.all_refusing(now):
+            for state in queue:
                 waiting.remove(state)
                 self._degrade(state, now, results)
-                progressed = True
-                continue
 
-            # 3. Place the best job on the best untried free device.
-            placed = False
-            for state in eligible:
-                candidates = [d for d in free
-                              if d.device_id not in state.tried]
-                if not candidates:
-                    continue
-                # Least-loaded routing, id tie-break.  Deliberately
-                # health-blind: the breaker is the health gate, and
-                # biasing placement away from a shaky-but-closed device
-                # would starve its window below min_samples so it could
-                # never actually trip.
-                device = min(candidates,
-                             key=lambda d: (d.busy_cycles, d.device_id))
-                batch = self._coalesce(state, device, eligible, now)
-                for member in batch:
-                    waiting.remove(member)
-                if len(batch) == 1:
-                    self._execute(state, device, now, results)
-                else:
-                    self._execute_batch(batch, device, now, results)
-                placed = True
-                progressed = True
-                break
-            if not placed:
-                return progressed
+    def _free(self, now: float) -> List[Device]:
+        """Devices idle at ``now`` that may take a dispatch.
+
+        ``available`` folds the lifecycle state (crashed or hanging
+        devices refuse) and the autoscaler's withdrawals into the
+        breaker gate.
+        """
+        return [d for d in self.pool.devices
+                if d.busy_until <= now and d.available(now)]
 
     def _coalesce(self, lead: _JobState, device: Device,
-                  eligible: List[_JobState],
+                  queue: List[_JobState],
                   now: float) -> List[_JobState]:
         """Greedy batch formation around the job about to dispatch.
 
@@ -859,7 +882,7 @@ class Scheduler:
             return [lead]
         key = (job.dataset, job.scale, job.kernel)
         batch = [lead]
-        for cand in eligible:
+        for cand in queue:
             if len(batch) >= self.config.max_batch:
                 break
             if cand is lead:
@@ -1094,12 +1117,11 @@ class Scheduler:
         """
         state.hedge_event = None
         job = state.job
-        free = [d for d in self.pool.devices
-                if d.busy_until <= now and d.available(now)
-                and d.device_id not in state.tried]
+        free = [d for d in self._free(now)
+                if d.device_id not in state.tried]
         if not free:
             return
-        device = min(free, key=lambda d: (d.busy_cycles, d.device_id))
+        device = min(free, key=_least_loaded)
         state.attempts += 1
         state.tried.add(device.device_id)
         device.breaker.on_dispatch(now)
@@ -1265,8 +1287,7 @@ class Scheduler:
             elif action == "down":
                 live = [d for d in self.pool.devices
                         if not d.retired and not d.draining]
-                target = min(live,
-                             key=lambda d: (d.busy_cycles, d.device_id))
+                target = min(live, key=_least_loaded)
                 scaler.scale_downs += 1
                 scaler.last_action_cycle = now
                 self._start_drain(target, now)

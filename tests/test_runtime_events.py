@@ -20,10 +20,10 @@ class TestTotalOrder:
 
     def test_kind_breaks_cycle_ties_in_declared_order(self):
         # Coincident events process as: arrival, dispatch-complete,
-        # retry-ready, breaker-reopen, deadline-expiry.
+        # breaker-reopen, deadline-expiry, device-crash.
         q = EventQueue()
         kinds = [EventKind.DEADLINE_EXPIRY, EventKind.ARRIVAL,
-                 EventKind.BREAKER_REOPEN, EventKind.RETRY_READY,
+                 EventKind.BREAKER_REOPEN, EventKind.DEVICE_CRASH,
                  EventKind.DISPATCH_COMPLETE]
         for k in kinds:
             q.push(5.0, k, 0)
@@ -33,7 +33,7 @@ class TestTotalOrder:
     def test_key_breaks_kind_ties(self):
         q = EventQueue()
         for key in (7, 3, 5):
-            q.push(5.0, EventKind.RETRY_READY, key)
+            q.push(5.0, EventKind.BREAKER_REOPEN, key)
         assert [q.pop().key for _ in range(3)] == [3, 5, 7]
 
     def test_seq_makes_exact_duplicates_fifo(self):
@@ -71,6 +71,20 @@ class TestQueueMechanics:
         q.mark_stale()
         assert (q.pushed, q.popped, q.stale) == (2, 1, 1)
 
+    def test_pop_at_drains_exactly_the_coincident_events(self):
+        q = EventQueue()
+        q.push(5.0, EventKind.DEADLINE_EXPIRY, 1)
+        q.push(6.0, EventKind.ARRIVAL, 0)
+        q.push(5.0, EventKind.ARRIVAL, 2)
+        q.push(5.0, EventKind.DISPATCH_COMPLETE, 0)
+        assert q.pop_at(4.0) == []
+        drained = q.pop_at(5.0)
+        assert [(e.kind, e.key) for e in drained] == [
+            (EventKind.ARRIVAL, 2), (EventKind.DISPATCH_COMPLETE, 0),
+            (EventKind.DEADLINE_EXPIRY, 1)]
+        assert q.popped == 3 and len(q) == 1
+        assert q.peek().cycle == 6.0
+
     def test_identical_push_sequence_pops_identically(self):
         # The order is a pure function of the pushed tuples — two
         # queues fed the same sequence drain in the same order, which
@@ -97,10 +111,10 @@ class TestLifecycleKinds:
         # DEVICE_*/HEDGE_TIMER were appended to the enum, so at a
         # coincident cycle every pre-chaos kind still drains in its
         # historical position — the ordering half of the "chaos off is
-        # inert" guarantee.
+        # inert" guarantee.  (Four of the original five are still
+        # live; the fifth, a retry-ready wake, was retired.)
         originals = [EventKind.ARRIVAL, EventKind.DISPATCH_COMPLETE,
-                     EventKind.RETRY_READY, EventKind.BREAKER_REOPEN,
-                     EventKind.DEADLINE_EXPIRY]
+                     EventKind.BREAKER_REOPEN, EventKind.DEADLINE_EXPIRY]
         newcomers = [EventKind.DEVICE_CRASH, EventKind.DEVICE_HANG,
                      EventKind.DEVICE_RECOVER, EventKind.HEDGE_TIMER]
         assert max(int(k) for k in originals) \

@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import load_dataset
 from repro.errors import ConfigError, RejectedError
 from repro.kernels.spmv import to_csr
+from repro.observe.tracer import Tracer
 from repro.runtime import (
     DevicePool,
     Job,
@@ -458,6 +459,76 @@ class TestCausality:
         assert first.finish_cycle == completion + reference
         assert second.finish_cycle >= completion + reference
         assert report.breaker_trips == 1
+
+
+class TestDispatchPassOrder:
+    """The dispatch pass sorts the queue once per wake and keeps it in
+    step; these pin the orders that sorted list decides."""
+
+    #: Priorities of jobs 1-5; service order is priority desc, then id.
+    PRIORITIES = (0, 2, 1, 2, 0)
+    SERVICE_ORDER = [2, 4, 3, 1, 5]
+
+    def test_jobs_expiring_at_one_wake_finalise_in_service_order(self):
+        # Job 0 holds the only device.  Jobs 1-5 queue behind it with
+        # deadlines at cycle 2, so none has expired at its own
+        # DEADLINE_EXPIRY (strict `>`) and all five expire together at
+        # the next wake, job 0's completion.
+        tracer = Tracer()
+        pool = DevicePool(1, seed=0, execution="model", tracer=tracer)
+        nominal = pool.nominal_cycles(job(0))
+        jobs = [job(0)] + [job(i, arrival=1.0, deadline=1.0, priority=p)
+                           for i, p in enumerate(self.PRIORITIES, 1)]
+        results, report = Scheduler(pool, SchedulerConfig()).run(jobs)
+        assert report.timeout == 5
+        for r in results[1:]:
+            assert r.status is JobStatus.TIMEOUT
+            assert r.attempts == 0
+            assert r.finish_cycle == nominal
+        assert [s.name for s in tracer.by_cat("timeout")] == [
+            f"timeout#{i}" for i in self.SERVICE_ORDER]
+
+    def test_total_outage_sheds_queue_head_of_line_by_priority(self):
+        # Both devices are persistently faulty and trip on their first
+        # failure.  Jobs 0 and 1 fail on them at the same cycle, so
+        # every breaker is open while jobs 0-6 wait: the whole queue,
+        # including the two requeued jobs, is shed to the reference
+        # path at that cycle, highest priority first, then by id.
+        tracer = Tracer()
+        pool = DevicePool(2, seed=0, execution="model", min_samples=1,
+                          tracer=tracer)
+        for d in pool.devices:
+            d.fault_model = FaultModel(rate=1.0, seed=5, persistent=True)
+        jobs = [job(0, deadline=1e7), job(1, deadline=1e7)] + [
+            job(i + 1, arrival=1.0, deadline=1e7, priority=p)
+            for i, p in enumerate(self.PRIORITIES, 1)]
+        results, report = Scheduler(pool, SchedulerConfig()).run(jobs)
+        assert report.breaker_trips == 2
+        assert all(r.status is JobStatus.DEGRADED for r in results)
+        outage = pool.devices[0].busy_cycles  # the one failed attempt
+        assert pool.devices[1].busy_cycles == outage
+        assert {r.finish_cycle for r in results} == {
+            outage + pool.nominal_cycles(job(0))
+            * SchedulerConfig().reference_slowdown}
+        # Jobs 2-6 carry the priorities of jobs 1-5 above.
+        expected = [i + 1 for i in self.SERVICE_ORDER]
+        expected[3:3] = [0, 1]  # priority 0, ids below job 2
+        assert [s.name for s in tracer.by_cat("degraded")] == [
+            f"spmv#{i}" for i in expected]
+
+    def test_batch_members_leave_the_sorted_queue(self):
+        # Service order is 0, 1, 2.  Job 0 fuses job 1 into one batch
+        # on device 0; the next placement of the same wake must be job
+        # 2 on device 1, not job 1 a second time.
+        pool = DevicePool(2, seed=0, execution="model")
+        jobs = [job(0, deadline=1e6), job(1, deadline=1e6),
+                job(2, deadline=1e6, kernel="symgs")]
+        results, report = Scheduler(pool, SchedulerConfig(
+            max_batch=2)).run(jobs)
+        assert report.batches == 1
+        assert [(r.device_id, r.batch_size, r.attempts)
+                for r in results] == [(0, 2, 1), (0, 2, 1), (1, 1, 1)]
+        assert results[2].finish_cycle == pool.nominal_cycles(jobs[2])
 
 
 class TestDuplicateJobIds:
