@@ -8,6 +8,7 @@ additions).
 
 from repro.kernels.spmv import spmv, to_csr
 from repro.kernels.symgs import (
+    ForwardSweep,
     backward_sweep,
     forward_sweep,
     forward_sweep_vectorized,
@@ -16,6 +17,7 @@ from repro.kernels.symgs import (
 from repro.kernels.vector import axpy, dot, norm2, waxpby
 
 __all__ = [
+    "ForwardSweep",
     "axpy",
     "backward_sweep",
     "dot",

@@ -84,39 +84,76 @@ def symgs(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return backward_sweep(matrix, b, forward_sweep(matrix, b, x))
 
 
-def forward_sweep_vectorized(matrix, b: np.ndarray,
-                             x: np.ndarray) -> np.ndarray:
-    """Forward sweep via a lower-triangular solve.
+class ForwardSweep:
+    """A forward Gauss-Seidel sweep prepared once for one matrix.
 
     Algebraically identical to :func:`forward_sweep` —
     ``x_new = (L + D)^{-1} (b - U x_old)`` — but computed with a
     vectorized triangular substitution over CSR arrays, used for large
     matrices where the row-loop golden model is too slow.
+
+    Everything that depends only on the matrix is done here, once: the
+    CSR copy, the strict upper triangle as ``(rows, data, cols)``
+    arrays, the diagonal (a zero pivot raises
+    :class:`~repro.errors.ConfigError` naming its row) and each row's
+    strict-lower ``(vals, cols)`` slices.  Calling the sweep on
+    ``(b, x)`` does only the per-operand work.
     """
+
+    def __init__(self, matrix) -> None:
+        csr = to_csr(matrix)
+        n_rows, n_cols = csr.shape
+        if n_rows != n_cols:
+            raise ShapeError(f"SymGS needs a square matrix, got {csr.shape}")
+        self.csr = csr
+        rows = np.repeat(np.arange(n_rows), np.diff(csr.indptr))
+        upper = csr.indices > rows
+        on_diag = csr.indices == rows
+        self._upper = (rows[upper], csr.data[upper], csr.indices[upper])
+        diag = np.zeros(n_rows, dtype=np.float64)
+        diag[rows[on_diag]] = csr.data[on_diag]
+        if np.any(diag == 0.0):
+            bad = int(np.nonzero(diag == 0.0)[0][0])
+            raise ConfigError(f"zero diagonal at row {bad}")
+        self._pivots = diag.tolist()
+        # Boolean indexing gives each row's lower slice its own
+        # contiguous array; np.dot's summation order can follow operand
+        # layout, so the slices keep that form.
+        lower = []
+        indptr, indices, data = csr.indptr, csr.indices, csr.data
+        for j in range(n_rows):
+            lo, hi = int(indptr[j]), int(indptr[j + 1])
+            cols = indices[lo:hi]
+            mask = cols < j
+            lower.append((data[lo:hi][mask], cols[mask])
+                         if mask.any() else None)
+        self._lower = lower
+
+    def __call__(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """One forward sweep from ``x``; returns the updated vector."""
+        b, x = _check_system(self.csr, b, x)
+        # rhs = b - U @ x_old
+        rhs = b.copy()
+        up_rows, up_data, up_cols = self._upper
+        np.subtract.at(rhs, up_rows, up_data * x[up_cols])
+        # Forward substitution with (L + D); sequential by construction.
+        # Python floats round exactly like float64 scalars, and a row
+        # with no lower entries subtracts nothing (r - 0.0 == r).
+        out = np.empty(len(self._pivots), dtype=np.float64)
+        for j, row, r, pivot in zip(range(out.size), self._lower,
+                                    rhs.tolist(), self._pivots):
+            if row is not None:
+                r -= float(np.dot(row[0], out[row[1]]))
+            out[j] = r / pivot
+        return out
+
+
+def forward_sweep_vectorized(matrix, b: np.ndarray,
+                             x: np.ndarray) -> np.ndarray:
+    """One :class:`ForwardSweep` of ``matrix`` from ``x``: prepare, then
+    apply once.  Solvers that sweep one matrix many times keep the
+    prepared sweep instead (see
+    :class:`~repro.solvers.ReferenceBackend`)."""
     csr = to_csr(matrix)
-    b, x = _check_system(csr, b, x)
-    n = csr.shape[0]
-    # rhs = b - U @ x_old
-    rhs = b.copy()
-    diag = np.zeros(n, dtype=np.float64)
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    upper = csr.indices > rows
-    on_diag = csr.indices == rows
-    np.subtract.at(
-        rhs, rows[upper], csr.data[upper] * x[csr.indices[upper]]
-    )
-    diag[rows[on_diag]] = csr.data[on_diag]
-    if np.any(diag == 0.0):
-        bad = int(np.nonzero(diag == 0.0)[0][0])
-        raise ConfigError(f"zero diagonal at row {bad}")
-    # Forward substitution with (L + D); sequential by construction.
-    out = np.empty(n, dtype=np.float64)
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    for j in range(n):
-        lo, hi = int(indptr[j]), int(indptr[j + 1])
-        cols = indices[lo:hi]
-        vals = data[lo:hi]
-        mask = cols < j
-        acc = float(np.dot(vals[mask], out[cols[mask]])) if mask.any() else 0.0
-        out[j] = (rhs[j] - acc) / diag[j]
-    return out
+    _check_system(csr, b, x)
+    return ForwardSweep(csr)(b, x)

@@ -46,6 +46,7 @@ from repro.runtime.pool import (
     Device,
     DevicePool,
     HealthWindow,
+    WorkloadMemo,
     value_crc,
 )
 from repro.runtime.fleet import (
@@ -90,6 +91,7 @@ __all__ = [
     "SchedulerConfig",
     "TRACE_SCHEMA_VERSION",
     "TraceSpec",
+    "WorkloadMemo",
     "build_report",
     "dump_trace",
     "fleet_report_json",

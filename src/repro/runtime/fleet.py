@@ -53,7 +53,7 @@ from repro.runtime.autoscale import AutoscaleConfig
 from repro.runtime.events import EventKind, EventQueue
 from repro.runtime.jobs import Job, JobResult, JobStatus, TraceSpec, make_trace
 from repro.runtime.metrics import AutoscaleReport, PoolReport, percentile
-from repro.runtime.pool import DevicePool, value_crc
+from repro.runtime.pool import DevicePool, WorkloadMemo, value_crc
 from repro.runtime.scheduler import Eviction, Scheduler, SchedulerConfig
 from repro.sim.chaos import ChaosModel, PoolChaosModel
 
@@ -271,7 +271,11 @@ class Fleet:
     wiring, replicated per pool: pool ``i`` gets fault seed
     ``seed + i * 1_000_003`` (pool 0 identical to a solo pool), its own
     device-chaos sibling, and the trace-track prefix ``p<i>.`` so all
-    pools share one tracer without collisions.
+    pools share one tracer without collisions.  All pools share one
+    :class:`~repro.runtime.pool.WorkloadMemo` (:attr:`memo`): a
+    workload's programmed image, golden prices and reference operator
+    are built once per fleet, and each pool's devices bind that image
+    under their own fault models.
     """
 
     def __init__(self, n_devices: int, config: FleetConfig,
@@ -289,6 +293,10 @@ class Fleet:
         self.scheduler_config = scheduler_config or SchedulerConfig()
         self.pool_chaos = (pool_chaos if pool_chaos is not None
                            and pool_chaos.rate > 0.0 else None)
+        #: One :class:`~repro.runtime.pool.WorkloadMemo` for every pool:
+        #: each workload is converted, compiled, priced and given a
+        #: reference operator once per fleet.
+        self.memo = WorkloadMemo(artifact_store)
         self.pools: List[DevicePool] = []
         self.scheds: List[Scheduler] = []
         for i in range(config.n_pools):
@@ -307,7 +315,7 @@ class Fleet:
                 seed=seed + _POOL_SEED_STRIDE * i,
                 tracer=tracer, execution=execution,
                 chaos=pool_chaos_model, track_prefix=f"p{i}.",
-                artifact_store=artifact_store)
+                memo=self.memo)
             self.pools.append(pool)
             self.scheds.append(Scheduler(pool, self.scheduler_config,
                                          autoscale=autoscale))

@@ -6,12 +6,12 @@ A :class:`DevicePool` replicates the single-accelerator substrate into
 * its own :class:`~repro.sim.faults.FaultModel`, seeded via
   :meth:`~repro.sim.faults.FaultModel.spawn` so fault histories are
   independent yet reproducible from one pool seed;
-* its bindings of the pool's programmed images, keyed by ``(dataset,
-  scale, kernel)`` — programming is a one-time cost per pool, bound per
-  device: the pool converts and compiles each workload once (the
-  paper's "once per matrix", §4) and every device runs that image under
-  its own fault model, as on real hardware where the image stays
-  resident;
+* its bindings of the programmed images, keyed by ``(dataset, scale,
+  kernel)`` — programming is a one-time cost per :class:`WorkloadMemo`,
+  bound per device: the memo converts and compiles each workload once
+  (the paper's "once per matrix", §4) and every device runs that image
+  under its own fault model, as on real hardware where the image stays
+  resident.  A solo pool owns its memo; a fleet's pools share one;
 * a :class:`HealthWindow` of recent job outcomes and a
   :class:`CircuitBreaker` driven by it.
 
@@ -20,11 +20,12 @@ twist: its cooldown is charged in *simulated cycles* against the pool's
 scheduler clock, never wall time, so breaker behaviour is deterministic
 per seed and unit-testable without sleeping.
 
-The pool also owns the *golden* side: a fault-free binding of each
-image for nominal service-time estimates, and the reference-kernel
-execution used for graceful degradation.  Degraded answers are computed
-by the same golden kernels the test suite validates against, so a
-``DEGRADED`` result is numerically correct by construction.
+The memo also holds the *golden* side: a fault-free binding of each
+image for nominal service-time estimates, and the reference operators
+(:class:`~repro.solvers.ReferenceBackend`, CSR copy and prepared
+forward sweep) used for graceful degradation.  Degraded answers are
+computed by the same golden kernels the test suite validates against,
+so a ``DEGRADED`` result is numerically correct by construction.
 """
 
 from __future__ import annotations
@@ -589,6 +590,43 @@ class Device:
                        track, args=args)
 
 
+class WorkloadMemo:
+    """Per-workload artefacts that depend only on ``(dataset, scale,
+    kernel)``, built once and shared by every pool that holds the memo.
+
+    A solo :class:`DevicePool` builds its own; a
+    :class:`~repro.runtime.fleet.Fleet` builds one and hands it to all
+    of its pools, so M pools convert, compile and price each workload
+    once instead of M times.  The memo belongs to its owner and is never
+    process-global.  Per-pool state — devices and their bindings, the
+    operand LRU, ``workloads_seen`` — stays on the pool.
+    """
+
+    def __init__(self, artifact_store=None) -> None:
+        #: Optional :class:`~repro.store.ArtifactStore`: the lower tier
+        #: under :attr:`images`.  Each workload's first programming
+        #: resolves through it, so a primed store serves warm starts
+        #: with zero compilations.  None is the storeless path,
+        #: bit-identical to pre-store behaviour.
+        self.artifact_store = artifact_store
+        #: Programmed images by ``(dataset, scale, kernel)`` (see
+        #: :meth:`DevicePool.image`).
+        self.images: Dict[Tuple[str, float, str], object] = {}
+        #: Fault-free ``(cycles, dram_bytes)`` of golden solo runs, by
+        #: ``(dataset, scale, kernel, seed)`` — ``seed`` is None except
+        #: for ``pcg``, whose iteration count follows its operand.
+        self.prices: Dict[Tuple[str, float, str, Optional[int]],
+                          Tuple[float, float]] = {}
+        #: Fault-free cycles of golden ``k``-wide batched runs, by
+        #: ``(dataset, scale, kernel, k)``.
+        self.batch_prices: Dict[Tuple[str, float, str, int], float] = {}
+        #: Reference operators by ``(dataset, scale)`` (see
+        #: :meth:`DevicePool.reference_values`).
+        self.references: Dict[Tuple[str, float], object] = {}
+        #: The fault-free pricing device; it binds the shared images.
+        self.golden = Device(-1, None)
+
+
 class DevicePool:
     """N independently-seeded devices plus the shared golden side."""
 
@@ -602,7 +640,8 @@ class DevicePool:
                  operand_cache: int = DEFAULT_OPERAND_CACHE,
                  chaos: Optional["ChaosModel"] = None,
                  track_prefix: str = "",
-                 artifact_store=None) -> None:
+                 artifact_store=None,
+                 memo: Optional[WorkloadMemo] = None) -> None:
         if n_devices <= 0:
             raise ConfigError(
                 f"device pool needs at least one device, got {n_devices}")
@@ -614,6 +653,15 @@ class DevicePool:
             raise ConfigError(
                 f"operand cache bound must be positive, got "
                 f"{operand_cache}")
+        if memo is None:
+            memo = WorkloadMemo(artifact_store)
+        elif artifact_store not in (None, memo.artifact_store):
+            raise ConfigError(
+                "artifact_store differs from the shared memo's store; "
+                "attach the store to the WorkloadMemo instead")
+        #: The :class:`WorkloadMemo` this pool programs, prices and
+        #: degrades through — its own, or its fleet's.
+        self.memo = memo
         #: ``simulate`` (real kernels) or ``model`` (golden-cache
         #: pricing for scheduler load tests) — see
         #: :data:`EXECUTION_MODES`.
@@ -651,34 +699,29 @@ class DevicePool:
         if self.chaos is not None:
             for i, device in enumerate(self.devices):
                 device.chaos = self.chaos.spawn(i)
-        #: Fault-free ``(cycles, dram_bytes)`` of one solo attempt per
-        #: ``(dataset, scale, kernel)`` — see :meth:`nominal`.
+        #: The golden price this pool adopted per ``(dataset, scale,
+        #: kernel)``: its first job's, from the memo — see
+        #: :meth:`nominal`.
         self._nominal: Dict[Tuple[str, float, str],
                             Tuple[float, float]] = {}
-        self._nominal_batch: Dict[Tuple[str, float, str, int], float] = {}
         #: Bounded LRU of seeded operand vectors, keyed like the
         #: nominal caches plus the job seed — see :meth:`operand`.
         self._operands: "OrderedDict[Tuple[str, float, int], np.ndarray]" \
             = OrderedDict()
         self._operand_cache = operand_cache
-        #: Optional :class:`~repro.store.ArtifactStore`: the lower tier
-        #: under :attr:`_images`.  Each workload's first programming
-        #: resolves through it, so a primed store serves warm starts
-        #: with zero compilations.  None is the storeless path,
-        #: bit-identical to pre-store behaviour.
-        self.artifact_store = artifact_store
-        #: Programmed images by ``(dataset, scale, kernel)``, one per
-        #: workload for the life of the pool (see :meth:`image`).
-        self._images: Dict[Tuple[str, float, str], object] = {}
         #: ``(dataset, scale, kernel)`` workloads a real device has
         #: programmed, in first-seen order — the priming list a
         #: store-backed scale-up warms a fresh device from.
         self.workloads_seen: "OrderedDict[Tuple[str, float, str], None]" \
             = OrderedDict()
-        self._golden = Device(-1, None)
 
     def __len__(self) -> int:
         return len(self.devices)
+
+    @property
+    def artifact_store(self):
+        """The memo's :class:`~repro.store.ArtifactStore` (or None)."""
+        return self.memo.artifact_store
 
     def note_workload(self, key: Tuple[str, float, str]) -> None:
         """Record that a real device programmed ``key`` (idempotent)."""
@@ -716,17 +759,20 @@ class DevicePool:
     # Shared golden side
     # ------------------------------------------------------------------
     def image(self, key: Tuple[str, float, str]):
-        """The pool's programmed copy of workload ``key``.
+        """The memo's programmed image of workload ``key``.
 
         Converted and compiled on first use, fault-free, through the
-        artifact store when one is attached; every device (and the
-        golden pricing device) binds it rather than programming its
+        artifact store when one is attached, then kept in the pool's
+        :class:`WorkloadMemo` — so every pool sharing the memo (a
+        fleet's pools) runs the same image.  Every device, and the
+        golden pricing device, binds it rather than programming its
         own.  The result is an :class:`~repro.core.Alrescha` (``spmv``,
         ``symgs``) or an :class:`~repro.solvers.AcceleratorBackend`
         (``pcg``); either one's ``bind(fault_model)`` makes a device's
         executor.
         """
-        exe = self._images.get(key)
+        images = self.memo.images
+        exe = images.get(key)
         if exe is None:
             dataset, scale, kernel = key
             matrix = self.matrix(dataset, scale)
@@ -746,7 +792,7 @@ class DevicePool:
                 raise ConfigError(
                     f"unknown job kernel {kernel!r}; "
                     f"known: {JOB_KERNELS}")
-            self._images[key] = exe
+            images[key] = exe
         return exe
 
     def matrix(self, dataset: str, scale: float):
@@ -782,15 +828,24 @@ class DevicePool:
         """Fault-free ``(cycles, dram_bytes)`` of one solo attempt of
         the job's workload (cached).
 
-        Cycle counts and traffic depend only on the programmed block
-        structure, never on operand values, so one golden run prices
-        every job of the same ``(dataset, scale, kernel)``.
+        Cycle counts and traffic of ``spmv`` and ``symgs`` depend only
+        on the programmed block structure, never on operand values, so
+        one golden run prices every job of the same ``(dataset, scale,
+        kernel)``, and the memo runs it once for all of its pools.  A
+        ``pcg`` solve's iteration count follows its operand, so a pool
+        adopts the price of the first ``pcg`` job it prices; the memo
+        keys that golden run by the job's seed too.
         """
         key = (job.dataset, job.scale, job.kernel)
         price = self._nominal.get(key)
         if price is None:
-            att = self._golden.attempt(job, self)
-            price = self._nominal[key] = (att.cycles, att.dram_bytes)
+            prices = self.memo.prices
+            run = key + (job.seed if job.kernel == "pcg" else None,)
+            price = prices.get(run)
+            if price is None:
+                att = self.memo.golden.attempt(job, self)
+                price = prices[run] = (att.cycles, att.dram_bytes)
+            self._nominal[key] = price
         return price
 
     def nominal_cycles(self, job: Job) -> float:
@@ -818,29 +873,34 @@ class DevicePool:
         if k <= 1:
             return self.nominal_cycles(job)
         key = (job.dataset, job.scale, job.kernel, k)
-        if key not in self._nominal_batch:
-            att = self._golden.attempt_batch([job] * k, self)
-            self._nominal_batch[key] = att.cycles
-        return self._nominal_batch[key]
+        prices = self.memo.batch_prices
+        cycles = prices.get(key)
+        if cycles is None:
+            att = self.memo.golden.attempt_batch([job] * k, self)
+            cycles = prices[key] = att.cycles
+        return cycles
 
     def reference_values(self, job: Job) -> np.ndarray:
-        """The golden-kernel answer used for graceful degradation."""
-        from repro.kernels import forward_sweep_vectorized
-        from repro.kernels.spmv import to_csr
+        """The golden-kernel answer used for graceful degradation.
+
+        Computed on the memo's :class:`~repro.solvers.ReferenceBackend`
+        for the job's matrix, whose CSR copy and prepared forward sweep
+        are built once for every pool sharing the memo.
+        """
         from repro.solvers import ReferenceBackend, pcg
 
-        matrix = self.matrix(job.dataset, job.scale)
+        refs = self.memo.references
+        ref = refs.get((job.dataset, job.scale))
+        if ref is None:
+            ref = refs[(job.dataset, job.scale)] = ReferenceBackend(
+                self.matrix(job.dataset, job.scale))
         operand = self.operand(job)
         if job.kernel == "spmv":
-            return to_csr(matrix).spmv(operand)
+            return ref.spmv(operand)
         if job.kernel == "symgs":
-            csr = to_csr(matrix)
-            return forward_sweep_vectorized(
-                csr, operand, np.zeros(operand.size))
+            return ref.forward_sweep(operand, np.zeros(operand.size))
         if job.kernel == "pcg":
-            result = pcg(ReferenceBackend(matrix), operand,
-                         tol=1e-6, max_iter=25)
-            return result.x
+            return pcg(ref, operand, tol=1e-6, max_iter=25).x
         raise ConfigError(
             f"unknown job kernel {job.kernel!r}; known: {JOB_KERNELS}")
 

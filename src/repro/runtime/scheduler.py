@@ -183,6 +183,11 @@ class _JobState:
 _service_order = attrgetter("order")
 
 
+def _arrival_order(job: Job) -> Tuple[float, int]:
+    """Arrival-stream key: arrival cycle, then job id."""
+    return (job.arrival_cycle, job.job_id)
+
+
 def _least_loaded(device: Device) -> Tuple[float, int]:
     """Placement key: least busy cycles, then lowest device id."""
     return (device.busy_cycles, device.device_id)
@@ -346,8 +351,7 @@ class Scheduler:
             seen.add(j.job_id)
 
         self._seen = seen
-        self._arrivals = deque(sorted(
-            jobs, key=lambda j: (j.arrival_cycle, j.job_id)))
+        self._arrivals = deque(sorted(jobs, key=_arrival_order))
         self._waiting = []
         self._results = {}
         self.events = events = EventQueue()
@@ -493,10 +497,7 @@ class Scheduler:
                 f"job {job.job_id} was already routed to this pool; "
                 f"the fleet must never re-route a job back")
         self._seen.add(job.job_id)
-        items = list(self._arrivals)
-        bisect.insort(items, job,
-                      key=lambda j: (j.arrival_cycle, j.job_id))
-        self._arrivals = deque(items)
+        bisect.insort(self._arrivals, job, key=_arrival_order)
         self.events.push(job.arrival_cycle, EventKind.ARRIVAL,
                          job.job_id)
 

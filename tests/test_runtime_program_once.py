@@ -1,11 +1,13 @@
-"""Program once per pool: devices bind one shared programmed image.
+"""Program once per fleet: devices bind one shared programmed image.
 
 A pool converts and compiles each ``(dataset, scale, kernel)`` workload
-once; every device, and the golden pricing device, runs that image
-under its own fault model.  These tests pin the three halves of that
-contract: programming happens once per image, a binding behaves exactly
-like an accelerator programmed afresh for its device, and no binding
-can write into the image its siblings run.
+once, and the pools of a fleet share one
+:class:`~repro.runtime.pool.WorkloadMemo`, so a fleet programs and
+prices each workload once; every device, and the golden pricing device,
+runs that image under its own fault model.  These tests pin the three
+halves of that contract: programming happens once per image, a binding
+behaves exactly like an accelerator programmed afresh for its device,
+and no binding can write into the image its siblings run.
 """
 
 import numpy as np
@@ -15,9 +17,11 @@ import repro.core.accelerator as accelerator
 from repro.core import Alrescha, AlreschaConfig, KernelType
 from repro.datasets import load_dataset
 from repro.errors import CorruptionError, FaultError
-from repro.runtime import DevicePool, Scheduler, SchedulerConfig
+from repro.runtime import (DevicePool, Fleet, FleetConfig, Scheduler,
+                           SchedulerConfig, WorkloadMemo,
+                           fleet_report_json)
 from repro.runtime.jobs import Job, TraceSpec, make_trace
-from repro.runtime.pool import value_crc
+from repro.runtime.pool import Device, value_crc
 from repro.sim.faults import FaultModel
 from repro.solvers import AcceleratorBackend, pcg
 
@@ -74,7 +78,7 @@ class TestProgrammedOncePerPool:
         execs = [d._executor(j, pool) for d in pool.devices]
         image = pool.image(("stencil27", SCALE, "symgs")).image
         assert all(exe.image is image for exe in execs)
-        assert pool._golden._executor(j, pool).image is image
+        assert pool.memo.golden._executor(j, pool).image is image
         assert len({id(exe) for exe in execs}) == 3
 
     def test_pools_do_not_share_images(self):
@@ -90,6 +94,124 @@ class TestProgrammedOncePerPool:
         assert [a.image for a in exe.accelerators] == \
             [a.image for a in proto.accelerators]
         assert len(exe.accelerators) == 3
+
+
+FLEET_PAIRS = (("stencil27", "spmv"), ("stencil27", "symgs"),
+               ("af_shell", "spmv"), ("af_shell", "symgs"),
+               ("stencil27", "pcg"))
+
+
+def _fleet_trace():
+    return make_trace(TraceSpec(
+        n_requests=90, seed=3, scale=SCALE, workloads=FLEET_PAIRS,
+        mean_interarrival_cycles=400.0,
+        deadline_range=(200_000.0, 400_000.0), zero_deadline_prob=0.0))
+
+
+def _fleet(execution, fault_rate=0.05):
+    """A storeless 3-pool, 2-replica fleet that batches up to 3."""
+    return Fleet(2, FleetConfig(n_pools=3, replicas=2),
+                 fault_rate=fault_rate, seed=3, execution=execution,
+                 scheduler_config=SchedulerConfig(max_batch=3))
+
+
+class TestProgrammedOncePerFleet:
+    @pytest.mark.parametrize("execution", ["model", "simulate"])
+    def test_fleet_converts_and_prices_each_workload_once(
+            self, monkeypatch, execution):
+        calls = {"convert": 0, "compile_pass": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(accelerator, "convert",
+                            counted("convert", accelerator.convert))
+        monkeypatch.setattr(accelerator, "compile_pass",
+                            counted("compile_pass",
+                                    accelerator.compile_pass))
+        golden = {}
+
+        def golden_counted(fn, batched):
+            def wrapper(device, work, pool, *args, **kwargs):
+                if device.device_id < 0:
+                    jobs = work if batched else [work]
+                    key = (jobs[0].dataset, jobs[0].kernel, len(jobs))
+                    golden[key] = golden.get(key, 0) + 1
+                return fn(device, work, pool, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Device, "attempt",
+                            golden_counted(Device.attempt, False))
+        monkeypatch.setattr(Device, "attempt_batch",
+                            golden_counted(Device.attempt_batch, True))
+        fleet = _fleet(execution)
+        trace = _fleet_trace()
+        results, _ = fleet.run(trace)
+
+        # Every workload ran on two pools, so programming or pricing
+        # per pool would have paid twice.
+        by_id = {j.job_id: (j.dataset, j.kernel) for j in trace}
+        served = {pair: set() for pair in FLEET_PAIRS}
+        for r in results:
+            if r.device_id >= 0:
+                served[by_id[r.job_id]].add(r.pool_id)
+        assert all(len(pools) == 2 for pools in served.values()), served
+        assert all(p.memo is fleet.memo for p in fleet.pools)
+        # One image per spmv/symgs workload, three for pcg.
+        images = 2 * 2 + 3
+        assert calls == {"convert": images, "compile_pass": images}
+        solo = {key: n for key, n in golden.items() if key[2] == 1}
+        batched = {key: n for key, n in golden.items() if key[2] > 1}
+        assert {key: n for key, n in solo.items()
+                if key[1] != "pcg"} == {
+            (d, k, 1): 1 for d, k in FLEET_PAIRS if k != "pcg"}
+        # A pcg price follows the pricing job's operand, so the memo
+        # keeps one golden run per pricing seed, and a simulating fleet
+        # prices pcg only if an attempt fails or degrades.
+        pcg_runs = [key for key in fleet.memo.prices if key[2] == "pcg"]
+        assert solo.get(("stencil27", "pcg", 1), 0) == len(pcg_runs) <= 2
+        if execution == "model":
+            assert pcg_runs
+        assert batched, "no fused batch was priced"
+        assert set(batched.values()) == {1}
+        assert len(batched) == len(fleet.memo.batch_prices)
+
+    @pytest.mark.parametrize("execution", ["model", "simulate"])
+    def test_faulty_pool_leaves_siblings_as_per_pool_programming(
+            self, execution):
+        def served(shared):
+            fleet = _fleet(execution, fault_rate=0.0)
+            base = FaultModel(rate=0.4, seed=17)
+            for i, device in enumerate(fleet.pools[0].devices):
+                device.fault_model = base.spawn(i)
+            if not shared:
+                for pool in fleet.pools:
+                    pool.memo = WorkloadMemo()
+            results, report = fleet.run(_fleet_trace())
+            logs = [[(e.index, e.kind, e.retry_cycles)
+                     for e in d.fault_model.log]
+                    for d in fleet.pools[0].devices if d.fault_model]
+            refs = {p.memo is fleet.memo for p in fleet.pools}
+            return results, fleet_report_json(report), logs, refs
+
+        results, report, logs, shared_refs = served(shared=True)
+        own_results, own_report, own_logs, own_refs = served(shared=False)
+        assert shared_refs == {True} and own_refs == {False}
+        assert results == own_results
+        assert report == own_report
+        assert logs == own_logs
+        faulted = [r for r in results if r.pool_id == 0 and r.attempts > 1]
+        assert faulted, "the faulty pool never retried"
+        siblings = [r for r in results
+                    if r.pool_id in (1, 2) and r.device_id >= 0]
+        assert siblings
+        if execution == "simulate":
+            assert all(r.value_crc != 0 for r in siblings)
+            assert any(r.value_crc != 0 and r.device_id >= 0
+                       for r in results if r.pool_id == 0)
 
 
 class TestFrozenImage:
