@@ -8,6 +8,7 @@ additions).
 
 from repro.kernels.spmv import spmv, to_csr
 from repro.kernels.symgs import (
+    BackwardSweep,
     ForwardSweep,
     backward_sweep,
     forward_sweep,
@@ -17,6 +18,7 @@ from repro.kernels.symgs import (
 from repro.kernels.vector import axpy, dot, norm2, waxpby
 
 __all__ = [
+    "BackwardSweep",
     "ForwardSweep",
     "axpy",
     "backward_sweep",

@@ -18,6 +18,9 @@ denote and what the PCG smoother requires for convergence.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
+
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
@@ -60,23 +63,11 @@ def forward_sweep(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def backward_sweep(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One backward Gauss-Seidel sweep (rows in descending order)."""
+    """One backward Gauss-Seidel sweep (rows in descending order): one
+    :class:`BackwardSweep` of ``matrix``, prepared and applied once."""
     csr = to_csr(matrix)
-    b, x = _check_system(csr, b, x)
-    out = x.copy()
-    for j in range(csr.shape[0] - 1, -1, -1):
-        cols, vals = csr.row(j)
-        diag = 0.0
-        acc = 0.0
-        for c, v in zip(cols, vals):
-            if c == j:
-                diag = v
-            else:
-                acc += v * out[c]
-        if diag == 0.0:
-            raise ConfigError(f"zero diagonal at row {j}")
-        out[j] = (b[j] - acc) / diag
-    return out
+    _check_system(csr, b, x)
+    return BackwardSweep(csr)(b, x)
 
 
 def symgs(matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -157,3 +148,56 @@ def forward_sweep_vectorized(matrix, b: np.ndarray,
     csr = to_csr(matrix)
     _check_system(csr, b, x)
     return ForwardSweep(csr)(b, x)
+
+
+class BackwardSweep:
+    """A backward Gauss-Seidel sweep prepared once for one matrix.
+
+    The golden row loop, rows in descending order: row ``j`` sums
+    ``A_jc * out[c]`` over its off-diagonal entries left to right,
+    starting from ``0.0``, then sets ``out[j] = (b[j] - acc) / A_jj``.
+    Preparing reads each row once: its off-diagonal values and columns
+    in stored order, and its pivot (the row's last diagonal entry; a
+    missing or zero pivot raises :class:`~repro.errors.ConfigError`
+    naming the first such row the sweep reaches, i.e. the highest).
+    Calling the sweep runs the same multiplies and adds in the same
+    order on Python floats, which round exactly like float64 scalars.
+    The sum is a left fold, never ``np.dot`` or ``sum()``, whose order
+    is their own.
+    """
+
+    def __init__(self, matrix) -> None:
+        csr = to_csr(matrix)
+        n_rows, n_cols = csr.shape
+        if n_rows != n_cols:
+            raise ShapeError(f"SymGS needs a square matrix, got {csr.shape}")
+        self.csr = csr
+        indptr = csr.indptr.tolist()
+        indices = csr.indices.tolist()
+        data = csr.data.tolist()
+        rows = []
+        for j in range(n_rows - 1, -1, -1):
+            lo, hi = indptr[j], indptr[j + 1]
+            vals, cols = [], []
+            pivot = 0.0
+            for c, v in zip(indices[lo:hi], data[lo:hi]):
+                if c == j:
+                    pivot = v
+                else:
+                    vals.append(v)
+                    cols.append(c)
+            if pivot == 0.0:
+                raise ConfigError(f"zero diagonal at row {j}")
+            rows.append((j, vals, cols, pivot))
+        self._rows = rows
+
+    def __call__(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """One backward sweep from ``x``; returns the updated vector."""
+        b, x = _check_system(self.csr, b, x)
+        rhs = b.tolist()
+        out = x.tolist()
+        at = out.__getitem__
+        for j, vals, cols, pivot in self._rows:
+            acc = reduce(add, map(mul, vals, map(at, cols)), 0.0)
+            out[j] = (rhs[j] - acc) / pivot
+        return np.array(out, dtype=np.float64)

@@ -6,11 +6,17 @@ per clock advance, the Python hot loop at trace scale.  This module
 replaces that scan with a single binary heap of *typed events*: every
 future state change the scheduler can react to is pushed exactly when
 it becomes known, and the main loop pops the earliest one in O(log n).
+What the trace fixes before the first cycle — the arrivals — never
+enters the heap: it streams from the scheduler's sorted arrival deque,
+merged against the heap top in the same total order.
 
 Event vocabulary (:class:`EventKind`):
 
 ``ARRIVAL``
-    A job enters the system at its ``arrival_cycle``.
+    A job enters the system at its ``arrival_cycle``.  A *rank*, not a
+    heap entry: the scheduler's arrival stream takes this place in the
+    coincident order (so an arrival sorts before every heap event at
+    its cycle), and its wakes count as processed events like any other.
 ``DISPATCH_COMPLETE``
     A device finishes the attempt it is running (its ``busy_until``).
 ``BREAKER_REOPEN``
@@ -67,9 +73,9 @@ Events sort by ``(cycle, kind, key, seq)``:
   events of different types are processed in a fixed, documented order
   (arrivals before completions before breaker reopens before deadline
   expiries);
-* ``key`` — ``job_id`` for job events, ``device_id`` for device
-  events: ties inside one kind break by explicit identity, never by
-  hash or insertion accident;
+* ``key`` — ``job_id`` for job events (arrivals included),
+  ``device_id`` for device events: ties inside one kind break by
+  explicit identity, never by hash or insertion accident;
 * ``seq`` — the monotone push index, a last-resort stabiliser so the
   order is total even for exact duplicates.
 

@@ -27,7 +27,9 @@ import enum
 import json
 import math
 import random
+from bisect import bisect
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import accumulate
 from typing import List, Tuple
 
 from repro.errors import ConfigError
@@ -198,6 +200,21 @@ class TraceSpec:
                 f"{self.zipf_exponent}")
 
 
+def _cumulative(population, weights) -> Tuple[List[float], float]:
+    """``Random.choices``' cumulative weights and their total, checked
+    exactly as ``choices`` checks them."""
+    cum = list(accumulate(weights))
+    if len(cum) != len(population):
+        raise ValueError(
+            "The number of weights does not match the population")
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return cum, total
+
+
 def make_trace(spec: TraceSpec) -> List[Job]:
     """Generate a seeded workload trace.
 
@@ -208,86 +225,103 @@ def make_trace(spec: TraceSpec) -> List[Job]:
     generator (``bursty``/``diurnal``/``zipf``, composable with ``+``)
     layers rate modulation and popularity skew on the same single-RNG
     discipline.
+
+    The loop spells out each ``random`` method as the arithmetic it
+    performs — ``expovariate`` as ``-log(1 - random()) / lambd``,
+    ``uniform`` as ``lo + (hi - lo) * random()``, a one-draw
+    ``choices`` as a bisect into cumulative weights built once — with
+    the same operations in the same order, so every draw and every
+    float is bit-identical to the library calls on every supported
+    Python.
     """
+    n_requests = spec.n_requests
+    if n_requests <= 0:
+        return []
     rng = random.Random(spec.seed)
-    jobs: List[Job] = []
-    cycle = 0.0
-    if spec.shape == "exponential":
-        for i in range(spec.n_requests):
-            cycle += rng.expovariate(
-                1.0 / spec.mean_interarrival_cycles)
-            dataset, kernel = spec.workloads[
-                rng.randrange(len(spec.workloads))]
-            if rng.random() < spec.zero_deadline_prob:
-                deadline = 0.0
-            else:
-                deadline = rng.uniform(*spec.deadline_range)
-            priority = rng.choices(spec.priorities,
-                                   weights=spec.priority_weights)[0]
-            jobs.append(Job(
-                job_id=i,
-                kernel=kernel,
-                dataset=dataset,
-                scale=spec.scale,
-                arrival_cycle=cycle,
-                deadline_cycles=deadline,
-                priority=priority,
-                seed=spec.seed * 100_003 + i,
-            ))
-        return jobs
+    draw = rng.random
+    randrange = rng.randrange
+    log = math.log
+    workloads = spec.workloads
+    n_workloads = len(workloads)
+    zero_deadline_prob = spec.zero_deadline_prob
+    lo, hi = spec.deadline_range
+    span = hi - lo
+    priorities = spec.priorities
+    prio_cum, prio_total = _cumulative(priorities, spec.priority_weights)
+    prio_hi = len(priorities) - 1
+    scale = spec.scale
+    seed_base = spec.seed * 100_003
+    new = object.__new__
+    set_field = object.__setattr__
 
     parts = set(spec.shape.split("+"))
     bursty = "bursty" in parts
     diurnal = "diurnal" in parts
     zipf = "zipf" in parts
+    modulated = bursty or diurnal
     # Zipf-by-rank popularity: workloads keep their declared order, so
     # rank 0 (the first pair) is the hot one under every seed.
-    weights = ([1.0 / (rank + 1) ** spec.zipf_exponent
-                for rank in range(len(spec.workloads))]
-               if zipf else None)
+    if zipf:
+        work_cum, work_total = _cumulative(
+            workloads, [1.0 / (rank + 1) ** spec.zipf_exponent
+                        for rank in range(n_workloads)])
+        work_hi = n_workloads - 1
+    base_mean = spec.mean_interarrival_cycles
+    lambd = 1.0 / base_mean
     # Doubly-stochastic burst process: the on/off state itself is
     # random (exponential dwells), and arrivals within a state are a
     # Poisson process at that state's rate.
     in_burst = False
-    burst_until = (rng.expovariate(1.0 / spec.quiet_mean_cycles)
+    burst_until = (-log(1.0 - draw()) / (1.0 / spec.quiet_mean_cycles)
                    if bursty else 0.0)
-    for i in range(spec.n_requests):
-        mean = spec.mean_interarrival_cycles
-        if bursty:
-            while cycle >= burst_until:
-                in_burst = not in_burst
-                dwell_mean = (spec.burst_mean_cycles if in_burst
-                              else spec.quiet_mean_cycles)
-                burst_until += rng.expovariate(1.0 / dwell_mean)
-            if in_burst:
-                mean /= spec.burst_factor
-        if diurnal:
-            phase = 2.0 * math.pi * cycle / spec.diurnal_period_cycles
-            rate_mod = 1.0 + spec.diurnal_amplitude * math.sin(phase)
-            mean /= max(rate_mod, 0.05)
-        cycle += rng.expovariate(1.0 / mean)
+    cycle = 0.0
+    jobs: List[Job] = []
+    append = jobs.append
+    for i in range(n_requests):
+        if modulated:
+            mean = base_mean
+            if bursty:
+                while cycle >= burst_until:
+                    in_burst = not in_burst
+                    dwell_mean = (spec.burst_mean_cycles if in_burst
+                                  else spec.quiet_mean_cycles)
+                    burst_until += -log(1.0 - draw()) / (1.0 / dwell_mean)
+                if in_burst:
+                    mean /= spec.burst_factor
+            if diurnal:
+                phase = 2.0 * math.pi * cycle / spec.diurnal_period_cycles
+                rate_mod = 1.0 + spec.diurnal_amplitude * math.sin(phase)
+                mean /= max(rate_mod, 0.05)
+            lambd = 1.0 / mean
+        cycle += -log(1.0 - draw()) / lambd
         if zipf:
-            dataset, kernel = rng.choices(spec.workloads,
-                                          weights=weights)[0]
+            dataset, kernel = workloads[
+                bisect(work_cum, draw() * work_total, 0, work_hi)]
         else:
-            dataset, kernel = spec.workloads[
-                rng.randrange(len(spec.workloads))]
-        if rng.random() < spec.zero_deadline_prob:
+            dataset, kernel = workloads[randrange(n_workloads)]
+        if draw() < zero_deadline_prob:
             deadline = 0.0
         else:
-            deadline = rng.uniform(*spec.deadline_range)
-        priority = rng.choices(spec.priorities,
-                               weights=spec.priority_weights)[0]
-        jobs.append(Job(
-            job_id=i,
-            kernel=kernel,
-            dataset=dataset,
-            scale=spec.scale,
-            arrival_cycle=cycle,
-            deadline_cycles=deadline,
-            priority=priority,
-            seed=spec.seed * 100_003 + i,
-        ))
+            deadline = lo + span * draw()
+        priority = priorities[
+            bisect(prio_cum, draw() * prio_total, 0, prio_hi)]
+        # ``Job`` is frozen, so its generated ``__init__`` looks up
+        # and calls ``object.__setattr__`` once per field.  Making the
+        # same calls, in field order, through a local binding builds
+        # the identical object — same attribute storage, so equality,
+        # hash, repr, ``replace``, ``asdict``, pickle and memory all
+        # match — in well under the time.  ``Job`` has no
+        # ``__post_init__`` for this to skip.
+        job = new(Job)
+        set_field(job, "job_id", i)
+        set_field(job, "kernel", kernel)
+        set_field(job, "dataset", dataset)
+        set_field(job, "scale", scale)
+        set_field(job, "arrival_cycle", cycle)
+        set_field(job, "deadline_cycles", deadline)
+        set_field(job, "priority", priority)
+        set_field(job, "seed", seed_base + i)
+        append(job)
     return jobs
 
 

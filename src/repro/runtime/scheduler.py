@@ -5,10 +5,12 @@ engine of :mod:`repro.runtime.events`.  All time is in simulated
 cycles — the same clock :class:`~repro.core.report.SimReport`
 accumulates — so a run is bit-reproducible from its seeds and needs no
 threads, sleeps, or wall-clock reads.  Every future state change
-(arrival, dispatch completion, breaker reopen, deadline expiry,
-device incident) is a typed event pushed when it becomes known; the
-main loop pops the earliest one in O(log n) instead of re-scanning
-every queue and device per clock advance.  Coincident events are
+that only the run reveals (dispatch completion, breaker reopen,
+deadline expiry, device incident) is a typed event pushed when it
+becomes known; the main loop pops the earliest one in O(log n) instead
+of re-scanning every queue and device per clock advance.  Arrivals,
+fixed by the trace before the first cycle, stream from one sorted
+deque whose head is merged against the heap top.  Coincident events are
 processed under the explicit total order ``(cycle, kind, key, seq)``
 documented in :mod:`repro.runtime.events` — every tie is broken by an
 explicit total order, never by hash or identity.
@@ -278,7 +280,13 @@ class Scheduler:
         #: even with the queues drained.
         self._inflight = 0
         # ---- resumable-session state (populated by :meth:`start`)
+        #: The session's only arrival stream, sorted by
+        #: ``(arrival_cycle, job_id)``; :meth:`_next_wake` merges its
+        #: head against the heap top, so arrivals never enter the heap.
         self._arrivals: deque = deque()
+        #: Arrivals :meth:`start` admitted at cycle 0, not yet counted
+        #: as popped-stale wakes (see :meth:`_next_wake`).
+        self._uncounted_arrivals = 0
         self._waiting: List[_JobState] = []
         self._results: Dict[int, JobResult] = {}
         self._now = 0.0
@@ -330,8 +338,8 @@ class Scheduler:
         return self.finish()
 
     def start(self, jobs: Sequence[Job]) -> None:
-        """Open a serving session: arrival events, chaos bootstrap, and
-        the cycle-0 admit/dispatch pass.
+        """Open a serving session: the arrival stream, chaos bootstrap,
+        and the cycle-0 admit/dispatch pass.
 
         ``start``/``advance``/``finish`` decompose the run loop so a
         fleet layer can interleave N schedulers on one global clock:
@@ -369,8 +377,6 @@ class Scheduler:
         self.pool_downtime_cycles = 0.0
         self.hedges_launched = self.hedges_won = 0
         self.crashes = self.hangs = self.recoveries = 0
-        for j in self._arrivals:
-            events.push(j.arrival_cycle, EventKind.ARRIVAL, j.job_id)
         if self.pool.chaos is not None:
             # Bootstrap one pending incident per device; the next one
             # is drawn only when this one's recovery is consumed, so
@@ -397,8 +403,8 @@ class Scheduler:
         # Mirror of the scan-based loop's first iteration: admit and
         # dispatch anything actionable at cycle 0 before the first
         # clock advance.
-        self._step(self._now, self._arrivals, self._waiting,
-                   self._results)
+        self._uncounted_arrivals = self._step(
+            self._now, self._arrivals, self._waiting, self._results)
 
     def pending(self) -> bool:
         """Whether the session still has work (queued or in flight)."""
@@ -437,8 +443,10 @@ class Scheduler:
             return False
         self._now = wake.cycle
         self._consume_at(wake, self._now, self._waiting, self._results)
-        self._step(self._now, self._arrivals, self._waiting,
-                   self._results)
+        # Each arrival admitted here is a wake the engine processed:
+        # the one that woke it or one coincident with it.
+        self.events.popped += self._step(
+            self._now, self._arrivals, self._waiting, self._results)
         return True
 
     def finish(self) -> Tuple[List[JobResult], PoolReport]:
@@ -478,19 +486,31 @@ class Scheduler:
         An outage, readmission or injected job can invalidate (or
         pre-empt) the event :meth:`peek_cycle` is holding; putting it
         back unchanged lets the next peek re-validate it against the
-        mutated state.
+        mutated state.  A held arrival is only the head of the arrival
+        stream, which still holds it, so it is just let go.
         """
-        if self._held is not None:
-            self.events.requeue(self._held)
+        held = self._held
+        if held is not None:
+            if held.kind != _ARRIVAL:
+                self.events.requeue(held)
             self._held = None
 
     def add_job(self, job: Job) -> None:
         """Inject a job into the running session (fleet re-route).
 
-        ``job.arrival_cycle`` must not lie in the session's past — the
-        fleet's global-min stepping guarantees every pool's clock is at
-        or behind any event being processed.
+        ``job.arrival_cycle`` must lie strictly after the session's
+        clock, or :class:`~repro.errors.ConfigError` is raised: the
+        arrival stream is consumed in cycle order, so an arrival at or
+        before the current cycle would never be woken for.  The fleet
+        satisfies this by construction — its global-min stepping keeps
+        every pool's clock at or behind the event being processed, and
+        a re-route lands ``reroute_cycles > 0`` after it.
         """
+        if job.arrival_cycle <= self._now:
+            raise ConfigError(
+                f"job {job.job_id}: injected arrival cycle "
+                f"{job.arrival_cycle} is not after the session's "
+                f"current cycle {self._now}")
         self._drop_hold()
         if job.job_id in self._seen:
             raise ConfigError(
@@ -498,8 +518,6 @@ class Scheduler:
                 f"the fleet must never re-route a job back")
         self._seen.add(job.job_id)
         bisect.insort(self._arrivals, job, key=_arrival_order)
-        self.events.push(job.arrival_cycle, EventKind.ARRIVAL,
-                         job.job_id)
 
     def take_evicted(self) -> List[Eviction]:
         """Drain the jobs the pool has handed back since the last call."""
@@ -609,12 +627,15 @@ class Scheduler:
     # Event loop
     # ------------------------------------------------------------------
     def _step(self, now: float, arrivals, waiting: List[_JobState],
-              results: Dict[int, JobResult]) -> None:
+              results: Dict[int, JobResult]) -> int:
         """One wake of the engine: admit everything due, then one
-        dispatch pass."""
+        dispatch pass.  Returns the number of arrivals admitted."""
+        admitted = 0
         while arrivals and arrivals[0].arrival_cycle <= now:
             self._admit_at(arrivals.popleft(), waiting, results)
+            admitted += 1
         self._dispatch(now, waiting, results)
+        return admitted
 
     def _valid(self, event: Event, results: Dict[int, JobResult]) -> bool:
         """Whether a popped event still describes live state.
@@ -627,8 +648,6 @@ class Scheduler:
         event order does not define, shifting timeout finalisation.
         """
         kind = event.kind
-        if kind == _ARRIVAL:
-            return True
         if kind == _DISPATCH_COMPLETE:
             # Completions validate by identity: a hang replaces the
             # flight's event, a crash or hedge cancellation removes the
@@ -668,14 +687,41 @@ class Scheduler:
 
     def _next_wake(self, now: float,
                    results: Dict[int, JobResult]) -> Optional[Event]:
-        """Pop until the earliest strictly-future valid event."""
+        """The earliest strictly-future valid wake: the arrival
+        stream's head or the heap's first valid event, whichever sorts
+        first under ``(cycle, kind, key)``.
+
+        An arrival's rank is ``EventKind.ARRIVAL`` (0), below every
+        heap kind, so it wins a cycle tie; heap events that sort before
+        it are popped (and counted stale if stale).  Every queued
+        arrival lies after ``now`` (:meth:`_step` admits all that are
+        due, :meth:`add_job` refuses the rest).  The returned arrival
+        wake is not popped from anything: :meth:`advance` counts it,
+        with its coincident arrivals, as the :meth:`_step` that admits
+        them.
+        """
         events = self.events
-        while events:
+        uncounted = self._uncounted_arrivals
+        if uncounted:
+            # Arrivals :meth:`start` admitted at cycle 0 were due
+            # before the first wake: like any event not after the
+            # clock, each counts once as popped and stale, at the
+            # session's first look ahead.
+            self._uncounted_arrivals = 0
+            events.popped += uncounted
+            events.stale += uncounted
+        arrivals = self._arrivals
+        head = arrivals[0].arrival_cycle if arrivals else None
+        top = events.peek()
+        while top is not None and (head is None or top.cycle < head):
             event = events.pop()
             if event.cycle > now and self._valid(event, results):
                 return event
             events.mark_stale()
-        return None
+            top = events.peek()
+        if head is None:
+            return None
+        return Event(head, _ARRIVAL, arrivals[0].job_id, -1)
 
     def _consume_at(self, wake: Event, now: float,
                     waiting: List[_JobState],

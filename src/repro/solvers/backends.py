@@ -28,18 +28,19 @@ from repro.core.config import KernelType
 from repro.core.report import SimReport, combine
 from repro.errors import ConfigError
 from repro.sim.faults import FaultModel
-from repro.kernels import ForwardSweep, backward_sweep, spmv
+from repro.kernels import BackwardSweep, ForwardSweep, spmv
 from repro.kernels.spmv import to_csr
 
 
 class ReferenceBackend:
     """Golden kernels; produces values only (no timing reports).
 
-    The CSR copy is made once, at construction, and the forward sweep
-    is prepared once, on first use (:attr:`forward_sweep`), so a solve
-    or a serving pool that applies the smoother many times pays the
+    The CSR copy is made once, at construction, and the forward and
+    backward sweeps are prepared once, on first use
+    (:attr:`forward_sweep`, :attr:`backward_sweep`), so a solve or a
+    serving pool that applies the smoother many times pays the
     per-matrix work once.  Preparing on first use keeps a matrix the
-    sweep rejects (a zero pivot) usable for SpMV.
+    sweeps reject (a zero pivot) usable for SpMV.
     """
 
     name = "reference"
@@ -53,6 +54,11 @@ class ReferenceBackend:
         """The matrix's prepared :class:`~repro.kernels.ForwardSweep`."""
         return ForwardSweep(self.csr)
 
+    @cached_property
+    def backward_sweep(self) -> BackwardSweep:
+        """The matrix's prepared :class:`~repro.kernels.BackwardSweep`."""
+        return BackwardSweep(self.csr)
+
     def spmv(self, x: np.ndarray) -> np.ndarray:
         return self.csr.spmv(np.asarray(x, dtype=np.float64))
 
@@ -60,7 +66,7 @@ class ReferenceBackend:
         """Symmetric Gauss-Seidel applied to ``M z = r`` from ``z = 0``."""
         zero = np.zeros(self.n)
         z = self.forward_sweep(r, zero)
-        return backward_sweep(self.csr, r, z)
+        return self.backward_sweep(r, z)
 
     def report(self) -> Optional[SimReport]:
         return None

@@ -1,11 +1,13 @@
-"""The prepared forward sweep equals the masked row loop bit for bit.
+"""The prepared sweeps equal the row loops they replaced bit for bit.
 
 :class:`~repro.kernels.ForwardSweep` moves everything that depends only
 on the matrix (CSR copy, upper triangle, diagonal, per-row lower
-slices) out of the per-operand loop.  Degraded serving answers and
-perfbench's answer gate both take their expected values from that
-sweep, so neither can catch a wrong one: this file pins it against a
-literal transcription of the original per-call loop instead.
+slices) out of the per-operand loop; :class:`~repro.kernels.BackwardSweep`
+does the same for the backward half (per-row off-diagonal values,
+columns and pivots).  Degraded serving answers and perfbench's answer
+gate both take their expected values from these sweeps, so neither can
+catch a wrong one: this file pins them against literal transcriptions
+of the original per-call loops instead.
 """
 
 import numpy as np
@@ -15,9 +17,14 @@ from hypothesis import strategies as st
 
 from repro.datasets import list_datasets, load_dataset
 from repro.errors import ConfigError
-from repro.kernels import ForwardSweep, forward_sweep_vectorized
+from repro.kernels import (
+    BackwardSweep,
+    ForwardSweep,
+    backward_sweep,
+    forward_sweep_vectorized,
+)
 from repro.kernels.spmv import to_csr
-from repro.solvers import ReferenceBackend
+from repro.solvers import ReferenceBackend, pcg
 
 SCALE = 0.05
 
@@ -53,6 +60,38 @@ def masked_row_loop(matrix, b, x):
     return out
 
 
+def backward_row_loop(matrix, b, x):
+    """The backward sweep as the golden row loop computed it before it
+    was prepared: every row fetched through ``csr.row`` on every call,
+    summed left to right in numpy scalars."""
+    csr = to_csr(matrix)
+    b = np.asarray(b, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    out = x.copy()
+    for j in range(csr.shape[0] - 1, -1, -1):
+        cols, vals = csr.row(j)
+        diag = 0.0
+        acc = 0.0
+        for c, v in zip(cols, vals):
+            if c == j:
+                diag = v
+            else:
+                acc += v * out[c]
+        if diag == 0.0:
+            raise ConfigError(f"zero diagonal at row {j}")
+        out[j] = (b[j] - acc) / diag
+    return out
+
+
+class RowLoopBackend(ReferenceBackend):
+    """The reference backend with both sweeps run as the old loops."""
+
+    def precondition(self, r):
+        zero = np.zeros(self.n)
+        z = masked_row_loop(self.csr, r, zero)
+        return backward_row_loop(self.csr, r, z)
+
+
 def _operands(n, seed):
     """Several (b, x) pairs: serving's (rhs, 0) and nonzero starts."""
     rng = np.random.default_rng(seed)
@@ -77,6 +116,32 @@ def test_prepared_sweep_matches_row_loop_on_every_dataset(name):
         assert _same_bits(forward_sweep_vectorized(matrix, b, x), want)
 
 
+@pytest.mark.parametrize("name", list_datasets("scientific"))
+def test_prepared_backward_sweep_matches_row_loop_on_every_dataset(name):
+    matrix = load_dataset(name, SCALE).matrix
+    sweep = BackwardSweep(matrix)
+    backend = ReferenceBackend(matrix)
+    for b, x in _operands(matrix.shape[0], seed=len(name)):
+        want = backward_row_loop(matrix, b, x)
+        assert _same_bits(sweep(b, x), want)
+        assert _same_bits(backend.backward_sweep(b, x), want)
+        assert _same_bits(backward_sweep(matrix, b, x), want)
+        assert _same_bits(backend.precondition(b),
+                          RowLoopBackend(matrix).precondition(b))
+
+
+@pytest.mark.parametrize("name", ["stencil27", "af_shell", "economics",
+                                  "ship_003"])
+def test_reference_solve_answers_match_row_loops(name):
+    # Serving's degraded pcg answer: 25 preconditioned iterations.
+    matrix = load_dataset(name, SCALE).matrix
+    for b, _ in _operands(matrix.shape[0], seed=len(name))[:2]:
+        got = pcg(ReferenceBackend(matrix), b, tol=1e-6, max_iter=25)
+        want = pcg(RowLoopBackend(matrix), b, tol=1e-6, max_iter=25)
+        assert _same_bits(got.x, want.x)
+        assert got.iterations == want.iterations
+
+
 @st.composite
 def dominant_systems(draw):
     """A random sparse, strictly diagonally dominant matrix."""
@@ -95,8 +160,10 @@ def dominant_systems(draw):
 def test_prepared_sweep_matches_row_loop_on_generated_matrices(system):
     a, seed = system
     sweep = ForwardSweep(a)
+    backward = BackwardSweep(a)
     for b, x in _operands(a.shape[0], seed):
         assert _same_bits(sweep(b, x), masked_row_loop(a, b, x))
+        assert _same_bits(backward(b, x), backward_row_loop(a, b, x))
 
 
 def test_zero_diagonal_raises_naming_the_row():
@@ -120,6 +187,30 @@ def test_backend_prepares_its_sweep_once():
     backend = ReferenceBackend(matrix)
     r = np.random.default_rng(0).normal(size=matrix.shape[0])
     backend.precondition(r)
-    sweep = backend.forward_sweep
+    forward, backward = backend.forward_sweep, backend.backward_sweep
     backend.precondition(r)
-    assert backend.forward_sweep is sweep
+    assert backend.forward_sweep is forward
+    assert backend.backward_sweep is backward
+
+
+@pytest.mark.parametrize("zero_rows, named", [((2,), 2), ((0,), 0),
+                                               ((0, 2), 2)])
+def test_backward_zero_diagonal_raises_naming_the_first_row_swept(
+        zero_rows, named):
+    a = np.array([[2.0, 1.0, 0.0],
+                  [1.0, 3.0, 1.0],
+                  [0.0, 1.0, 4.0]])
+    for j in zero_rows:
+        a[j, j] = 0.0
+    b, x = np.ones(3), np.zeros(3)
+    match = f"zero diagonal at row {named}$"
+    with pytest.raises(ConfigError, match=match):
+        backward_row_loop(a, b, x)
+    with pytest.raises(ConfigError, match=match):
+        BackwardSweep(a)
+    with pytest.raises(ConfigError, match=match):
+        backward_sweep(a, b, x)
+    # Prepared on first use, like the forward sweep.
+    backend = ReferenceBackend(a)
+    with pytest.raises(ConfigError, match=match):
+        backend.backward_sweep
